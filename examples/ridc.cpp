@@ -354,10 +354,10 @@ main(int argc, char **argv)
     }
     if (dot_callgraph) {
         rid::analysis::CallGraph cg(tool.module());
-        rid::summary::SummaryDb db;
         // Color by a fresh classification over the loaded specs.
         std::vector<std::string> seeds = tool.summaries().namesWithChanges();
-        rid::analysis::FunctionClassifier classifier(tool.module(), seeds);
+        rid::analysis::FunctionClassifier classifier(tool.module(), cg,
+                                                     seeds);
         std::printf("%s", rid::analysis::callGraphToDot(cg, &classifier)
                               .c_str());
         return 0;

@@ -26,8 +26,10 @@
 # cold/warm resume differential), exercises the tracing path end to end
 # on a small DPM corpus, round-trips the provenance journal through
 # `ridc explain` and `ridc diff-runs` (including a torn-tail journal),
-# and SIGKILLs a store-backed `ridc` scan mid-run to prove `--resume`
-# reproduces an uninterrupted run's reports byte for byte.
+# SIGKILLs a store-backed `ridc` scan mid-run to prove `--resume`
+# reproduces an uninterrupted run's reports byte for byte, and resumes
+# once more with no edits to prove a warm resume replays everything and
+# appends at most one checkpoint frame.
 #
 # Usage: scripts/check.sh        (from anywhere inside the repo)
 # CMake equivalent: cmake --build build --target check
@@ -236,5 +238,23 @@ for frac in 0.5 0.75 0.9; do
     fi
 done
 test "$resume_ok" -eq 1
+
+# Unchanged warm resume: one more --resume with no edits must replay
+# every function byte-identically and grow the log by at most the run's
+# first barrier, one 29-byte checkpoint frame (13-byte frame header plus
+# a 16-byte payload). The gate is on counts, not on time.
+echo "== unchanged warm resume smoke =="
+smoke_wal="$smoke_dir/store/analysis.wal"
+wal_before=$(wc -c < "$smoke_wal")
+rc=0
+./build/examples/ridc --builtin-dpm --store "$smoke_dir/store" \
+    --resume "${smoke_srcs[@]}" \
+    > "$smoke_dir/warm.out" 2> "$smoke_dir/warm.err" || rc=$?
+test "$rc" -eq 1
+cmp -s "$smoke_dir/cold.out" "$smoke_dir/warm.out"
+grep -q '^store: [0-9]* hit(s) / 0 miss(es)' "$smoke_dir/warm.err"
+wal_growth=$(( $(wc -c < "$smoke_wal") - wal_before ))
+test "$wal_growth" -le 29
+echo "warm resume: byte-identical, 0 miss(es), log +${wal_growth} B"
 
 echo "check.sh: all green"

@@ -629,23 +629,37 @@ Analyzer::run()
     std::vector<std::string> seeds =
         db_.namesWithChanges(opts_.enabled_domains);
 
+    // One call graph per run, shared by classification, the resume plan
+    // and the traversal. It is timed with classification, its first user.
+    classifier_.reset();
+    callgraph_ = std::make_unique<CallGraph>(mod_);
+    const CallGraph &cg = *callgraph_;
     {
         obs::Span classify_span("pipeline", "classify");
         if (opts_.classify)
             classifier_ =
-                std::make_unique<FunctionClassifier>(mod_, seeds);
+                std::make_unique<FunctionClassifier>(mod_, cg, seeds);
     }
     stats_.classify_seconds = secondsSince(t0);
     ins_.classify_seconds->set(stats_.classify_seconds);
     if (classifier_)
         stats_.categories = classifier_->stats();
 
-    auto shouldAnalyze = [this](const ir::Function &fn) {
-        if (fn.isDeclaration() || db_.hasPredefined(fn.name()))
+    // Tracked functions are the bodies this run summarizes: defined and
+    // not covered by a predefined summary.
+    std::vector<char> tracked(cg.size(), 0);
+    for (int node = 0; node < static_cast<int>(cg.size()); node++) {
+        const ir::Function *fn = cg.functionOf(node);
+        tracked[node] = fn && !fn->isDeclaration() &&
+                        !db_.hasPredefined(fn->name());
+    }
+
+    auto shouldAnalyze = [&](int node, const ir::Function &fn) {
+        if (!tracked[node])
             return false;
         if (!opts_.classify)
             return true;
-        switch (classifier_->categoryOf(fn.name())) {
+        switch (classifier_->categoryOfNode(node)) {
           case Category::RefcountChanging:
             return true;
           case Category::Affecting:
@@ -660,12 +674,7 @@ Analyzer::run()
 
     auto t1 = std::chrono::steady_clock::now();
     obs::Span analyze_span("pipeline", "analyze");
-    CallGraph cg(mod_);
     size_t reports_before = reports_.size();
-
-    auto tracked = [this](const ir::Function &fn) {
-        return !fn.isDeclaration() && !db_.hasPredefined(fn.name());
-    };
 
     // Resume plan, built bottom-up over the SCC condensation before the
     // traversal. An SCC is *clean* when every tracked member replays from
@@ -679,6 +688,7 @@ Analyzer::run()
     resume_plan_.clear();
     if (store_ && opts_.resume) {
         obs::Span plan_span("pipeline", "resume-plan");
+        resume_plan_.resize(cg.size());
         FunctionStore::LookupContext ctx;
         ctx.function_deadline_seconds = opts_.function_deadline_seconds;
         ctx.function_solver_fuel = opts_.function_solver_fuel;
@@ -687,29 +697,27 @@ Analyzer::run()
         std::vector<char> scc_clean(cg.numSccs(), 1);
         for (int scc = 0; scc < static_cast<int>(cg.numSccs()); scc++) {
             bool clean = true;
-            std::vector<std::string> members;
             for (int member : cg.sccMembers(scc)) {
                 for (int callee : cg.calleesOf(member)) {
                     int cs = cg.sccOf(callee);
                     if (cs != scc && !scc_clean[cs])
                         clean = false;
                 }
-                const ir::Function *fn = mod_.find(cg.nameOf(member));
-                if (!fn || !tracked(*fn))
+                if (!tracked[member])
                     continue; // declarations/specs: fixed via config_fp
-                ctx.want_analyze = shouldAnalyze(*fn);
+                const ir::Function &fn = *cg.functionOf(member);
+                ctx.want_analyze = shouldAnalyze(member, fn);
                 FunctionStore::Action a = store_->lookup(
-                    {fn->name(), fn->fingerprint(), store_config_fp_},
-                    ctx, domain_table_);
+                    {fn.name(), fn.fingerprint(), store_config_fp_}, ctx,
+                    domain_table_);
                 if (a.plan != FunctionStore::Plan::Load &&
                     a.plan != FunctionStore::Plan::Quarantine)
                     clean = false;
-                members.push_back(fn->name());
-                resume_plan_[fn->name()] = std::move(a);
+                resume_plan_[member] = std::move(a);
             }
             if (!clean) {
-                for (const auto &name : members) {
-                    auto &a = resume_plan_[name];
+                for (int member : cg.sccMembers(scc)) {
+                    auto &a = resume_plan_[member];
                     if (a.plan == FunctionStore::Plan::Load)
                         a = FunctionStore::Action{};
                 }
@@ -719,25 +727,20 @@ Analyzer::run()
     }
 
     auto processNode = [&](int node) -> std::vector<BugReport> {
-        const ir::Function *fn = mod_.find(cg.nameOf(node));
+        const ir::Function *fn = cg.functionOf(node);
         if (!fn)
             return {};
         try {
             obs::FailpointScope fp_scope(fn->name());
 
+            // Each node is visited exactly once per run; moving the
+            // Action aside keeps the plan itself read-only under
+            // SCC-level parallelism. Nodes without a lookup hold the
+            // default Analyze action.
             FunctionStore::Action action;
-            bool have_plan = false;
-            if (store_ && tracked(*fn)) {
-                auto it = resume_plan_.find(fn->name());
-                if (it != resume_plan_.end()) {
-                    // Each key is visited exactly once per run; moving the
-                    // Action aside keeps the map itself read-only under
-                    // SCC-level parallelism.
-                    action = std::move(it->second);
-                    have_plan = true;
-                }
-            }
-            if (have_plan && action.plan == FunctionStore::Plan::Load) {
+            if (!resume_plan_.empty())
+                action = std::move(resume_plan_[node]);
+            if (action.plan == FunctionStore::Plan::Load) {
                 // Store hit: replay the recorded outcome and skip symexec.
                 // Counters are not replayed (stats describe work actually
                 // done this run); diagnostics are, so truncation notes
@@ -755,8 +758,7 @@ Analyzer::run()
                         {fn->name(), action.status, action.reason});
                 return std::move(action.reports);
             }
-            if (have_plan &&
-                action.plan == FunctionStore::Plan::Quarantine) {
+            if (action.plan == FunctionStore::Plan::Quarantine) {
                 // Retry ladder exhausted: conservative default summary,
                 // no symexec, and a provenance note saying why.
                 ins_.store_quarantined->inc();
@@ -766,11 +768,11 @@ Analyzer::run()
                     {fn->name(), FnStatus::Degraded, action.note});
                 return {};
             }
-            if (store_ && tracked(*fn))
+            if (store_ && tracked[node])
                 ins_.store_misses->inc();
 
-            if (!shouldAnalyze(*fn)) {
-                if (tracked(*fn)) {
+            if (!shouldAnalyze(node, *fn)) {
+                if (tracked[node]) {
                     storeDefaultSummary(*fn);
                     ins_.functions_defaulted->inc();
                     recordToStore(*fn, FnStatus::Ok, "", true, nullptr,
@@ -795,7 +797,7 @@ Analyzer::run()
             }
             double deadline = opts_.function_deadline_seconds;
             uint64_t fuel = opts_.function_solver_fuel;
-            if (have_plan && action.plan == FunctionStore::Plan::Retry) {
+            if (action.plan == FunctionStore::Plan::Retry) {
                 ins_.store_retries->inc();
                 deadline = action.retry_deadline_seconds;
                 fuel = action.retry_fuel;
@@ -804,7 +806,7 @@ Analyzer::run()
         } catch (const std::exception &e) {
             // Last-resort isolation for faults outside the guarded
             // analysis path (classification, summary storage, ...).
-            if (tracked(*fn))
+            if (tracked[node])
                 storeDefaultSummary(*fn);
             ins_.functions_error->inc();
             recordDiagnostic({fn->name(), FnStatus::Error, e.what()});
@@ -816,7 +818,8 @@ Analyzer::run()
 
     // Shard-level checkpoints: each one is a durability barrier (fsync);
     // a killed run resumes from the last committed record, re-executing
-    // at most the in-flight tail.
+    // at most the in-flight tail. The store skips a barrier with no new
+    // frame to cover, so a replay-only stretch costs no fsync.
     uint64_t checkpoint_tag = 0;
     auto storeCheckpoint = [&]() {
         if (store_)
@@ -836,36 +839,38 @@ Analyzer::run()
         }
     } else {
         // Process SCC levels bottom-up; components within one level are
-        // independent and run concurrently (Section 5.3).
+        // independent and run concurrently (Section 5.3). Each SCC's
+        // reports land in the slot of its id and are appended in id
+        // order afterwards: the sequential order, whatever the timing.
+        std::vector<std::vector<BugReport>> scc_reports(cg.numSccs());
         for (const auto &level : cg.sccLevels()) {
-            std::vector<std::future<std::vector<BugReport>>> futures;
+            std::vector<std::future<void>> futures;
             std::atomic<size_t> cursor{0};
             int workers = std::min<int>(opts_.threads,
                                         static_cast<int>(level.size()));
             for (int w = 0; w < workers; w++) {
                 futures.push_back(std::async(std::launch::async, [&]() {
                     obs::ScopedTracer worker_scoped(tracer_.get());
-                    std::vector<BugReport> local;
                     while (true) {
                         size_t k = cursor.fetch_add(1);
                         if (k >= level.size())
                             break;
+                        auto &slot = scc_reports[level[k]];
                         for (int member : cg.sccMembers(level[k])) {
                             auto reports = processNode(member);
                             for (auto &r : reports)
-                                local.push_back(std::move(r));
+                                slot.push_back(std::move(r));
                         }
                     }
-                    return local;
                 }));
             }
-            for (auto &f : futures) {
-                auto local = f.get();
-                for (auto &r : local)
-                    reports_.push_back(std::move(r));
-            }
+            for (auto &f : futures)
+                f.get();
             storeCheckpoint();
         }
+        for (auto &slot : scc_reports)
+            for (auto &r : slot)
+                reports_.push_back(std::move(r));
     }
     storeCheckpoint();
     stats_.analyze_seconds = secondsSince(t1);

@@ -19,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/classifier.h"
@@ -163,7 +162,8 @@ class FunctionStore
                           const std::vector<BugReport> &reports) = 0;
 
     /** Commit a shard-level checkpoint: append a checkpoint frame and
-     *  flush everything before it to stable storage. Must not throw. */
+     *  flush everything before it to stable storage. A store may skip a
+     *  checkpoint that would cover no new bytes. Must not throw. */
     virtual void checkpoint(uint64_t tag) = 0;
 
     virtual IoStats ioStats() const = 0;
@@ -519,6 +519,8 @@ class Analyzer
     summary::DomainTable domain_table_;
     std::vector<BugReport> reports_;
     AnalyzerStats stats_;
+    /** The run's call graph; classifier_ refers to it. */
+    std::unique_ptr<CallGraph> callgraph_;
     std::unique_ptr<FunctionClassifier> classifier_;
     std::shared_ptr<smt::QueryCache> query_cache_;
     std::shared_ptr<summary::InstCache> inst_cache_;
@@ -533,10 +535,10 @@ class Analyzer
     std::shared_ptr<FunctionStore> store_;
     uint64_t store_config_fp_ = 0;
     /** Resume plan built bottom-up over the call graph before the
-     *  traversal: per tracked function, what to do with it. Read-only
-     *  (per-key moves aside) during the traversal, so workers need no
-     *  lock. */
-    std::unordered_map<std::string, FunctionStore::Action> resume_plan_;
+     *  traversal: per call-graph node, what to do with it (empty when not
+     *  resuming). Read-only (per-node moves aside) during the traversal,
+     *  so workers need no lock. */
+    std::vector<FunctionStore::Action> resume_plan_;
     /** Store ioStats() snapshot already synced into the registry (keeps
      *  repeated run() calls from double-counting). */
     FunctionStore::IoStats store_io_synced_;

@@ -4,33 +4,50 @@
 #include <cassert>
 #include <functional>
 
+#include "obs/trace.h"
+
 namespace rid::analysis {
 
 int
 CallGraph::intern(const std::string &name)
 {
-    auto it = ids_.find(name);
-    if (it != ids_.end())
-        return it->second;
-    int id = static_cast<int>(names_.size());
-    ids_.emplace(name, id);
-    names_.push_back(name);
-    edges_.emplace_back();
-    redges_.emplace_back();
-    return id;
+    auto [it, inserted] =
+        ids_.try_emplace(name, static_cast<int>(names_.size()));
+    if (inserted) {
+        names_.push_back(&it->first);
+        fns_.push_back(nullptr);
+        edges_.emplace_back();
+        redges_.emplace_back();
+    }
+    return it->second;
 }
 
 CallGraph::CallGraph(const ir::Module &mod)
 {
-    for (const auto &fn : mod.functions())
-        intern(fn->name());
-    for (const auto &fn : mod.functions()) {
-        int from = intern(fn->name());
-        for (const auto &callee : fn->callees()) {
-            int to = intern(callee);
-            auto &out = edges_[from];
-            if (std::find(out.begin(), out.end(), to) == out.end()) {
-                out.push_back(to);
+    obs::Span span("phase", "callgraph");
+    const auto &fns = mod.functions();
+    ids_.reserve(fns.size());
+    // Module names are unique, so function i becomes node i.
+    for (const auto &fn : fns)
+        fns_[intern(fn->name())] = fn.get();
+
+    // One pass over the Call instructions; seen_by[to] == from marks an
+    // edge already recorded, keeping first-call order without a set.
+    std::vector<int> seen_by;
+    for (int from = 0; from < static_cast<int>(fns.size()); from++) {
+        const ir::Function &fn = *fns[from];
+        for (size_t b = 0; b < fn.numBlocks(); b++) {
+            for (const auto &in : fn.block(static_cast<ir::BlockId>(b))
+                                      .instrs) {
+                if (in.op != ir::Opcode::Call)
+                    continue;
+                int to = intern(in.callee);
+                if (static_cast<size_t>(to) >= seen_by.size())
+                    seen_by.resize(names_.size(), -1);
+                if (seen_by[to] == from)
+                    continue;
+                seen_by[to] = from;
+                edges_[from].push_back(to);
                 redges_[to].push_back(from);
             }
         }

@@ -14,8 +14,8 @@
 #ifndef RID_ANALYSIS_CALLGRAPH_H
 #define RID_ANALYSIS_CALLGRAPH_H
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -26,14 +26,27 @@ class CallGraph
 {
   public:
     /** Build from a module; every defined or declared function is a node,
-     *  and call targets without any declaration get synthetic nodes. */
+     *  and call targets without any declaration get synthetic nodes.
+     *  Nodes [0, mod.size()) are the module's functions in module order;
+     *  each node's callees are in order of first call in its body. */
     explicit CallGraph(const ir::Module &mod);
+
+    // nameOf() hands out references into the name index; a copy would
+    // alias the source's index.
+    CallGraph(const CallGraph &) = delete;
+    CallGraph &operator=(const CallGraph &) = delete;
+    CallGraph(CallGraph &&) = default;
+    CallGraph &operator=(CallGraph &&) = default;
 
     /** Number of nodes. */
     size_t size() const { return names_.size(); }
 
-    const std::string &nameOf(int node) const { return names_.at(node); }
+    const std::string &nameOf(int node) const { return *names_.at(node); }
     int nodeOf(const std::string &name) const;
+
+    /** The module function behind a node; null for a synthetic node (a
+     *  call target the module does not declare). */
+    const ir::Function *functionOf(int node) const { return fns_.at(node); }
 
     /** Direct callees of a node. */
     const std::vector<int> &calleesOf(int node) const
@@ -76,8 +89,10 @@ class CallGraph
   private:
     int intern(const std::string &name);
 
-    std::vector<std::string> names_;
-    std::map<std::string, int> ids_;
+    std::unordered_map<std::string, int> ids_;
+    /** Node -> its key in ids_ (map nodes never move). */
+    std::vector<const std::string *> names_;
+    std::vector<const ir::Function *> fns_;
     std::vector<std::vector<int>> edges_;
     std::vector<std::vector<int>> redges_;
     std::vector<int> scc_of_;

@@ -1,7 +1,6 @@
 #include "analysis/classifier.h"
 
 #include <algorithm>
-#include <set>
 
 #include "analysis/slicer.h"
 #include "obs/trace.h"
@@ -23,14 +22,28 @@ categoryName(Category c)
 }
 
 FunctionClassifier::FunctionClassifier(
+    const ir::Module &mod, const CallGraph &cg,
+    const std::vector<std::string> &seeds)
+    : cg_(&cg)
+{
+    classify(mod, seeds);
+}
+
+FunctionClassifier::FunctionClassifier(
     const ir::Module &mod, const std::vector<std::string> &seeds)
-    : mod_(mod)
+    : owned_cg_(std::make_unique<CallGraph>(mod)), cg_(owned_cg_.get())
+{
+    classify(mod, seeds);
+}
+
+void
+FunctionClassifier::classify(const ir::Module &mod,
+                             const std::vector<std::string> &seeds)
 {
     obs::Span span("phase", "classify-module");
 
-    CallGraph cg(mod);
+    const CallGraph &cg = *cg_;
     span.arg("functions", std::to_string(cg.size()));
-    std::set<std::string> seed_set(seeds.begin(), seeds.end());
 
     const size_t n = cg.size();
     std::vector<bool> rc_changing(n, false);
@@ -81,7 +94,7 @@ FunctionClassifier::FunctionClassifier(
     for (int node : topo) {
         if (!rc_changing[node])
             continue;
-        const ir::Function *fn = mod_.find(cg.nameOf(node));
+        const ir::Function *fn = cg.functionOf(node);
         if (!fn || fn->isDeclaration())
             continue;
         auto isRcCall = [&](const ir::Instruction &in) {
@@ -99,31 +112,31 @@ FunctionClassifier::FunctionClassifier(
         }
     }
 
-    for (const auto &fn : mod_.functions()) {
-        order_.push_back(fn->name());
-        int node = cg.nodeOf(fn->name());
-        Category c = Category::Other;
-        if (node >= 0 && rc_changing[node])
-            c = Category::RefcountChanging;
-        else if (node >= 0 && affecting[node])
-            c = Category::Affecting;
-        category_[fn->name()] = c;
+    // Only module functions get a category; synthetic nodes stay Other.
+    category_.assign(n, Category::Other);
+    for (int node = 0; node < static_cast<int>(mod.size()); node++) {
+        if (rc_changing[node])
+            category_[node] = Category::RefcountChanging;
+        else if (affecting[node])
+            category_[node] = Category::Affecting;
     }
 }
 
 Category
 FunctionClassifier::categoryOf(const std::string &fn) const
 {
-    auto it = category_.find(fn);
-    return it == category_.end() ? Category::Other : it->second;
+    int node = cg_->nodeOf(fn);
+    return node < 0 ? Category::Other : category_[node];
 }
 
 ClassifierStats
 FunctionClassifier::stats() const
 {
     ClassifierStats s;
-    for (const auto &[name, c] : category_) {
-        switch (c) {
+    for (int node = 0; node < static_cast<int>(category_.size()); node++) {
+        if (!cg_->functionOf(node))
+            continue;
+        switch (category_[node]) {
           case Category::RefcountChanging: s.refcount_changing++; break;
           case Category::Affecting: s.affecting++; break;
           case Category::Other: s.other++; break;
@@ -136,9 +149,9 @@ std::vector<std::string>
 FunctionClassifier::functionsIn(Category c) const
 {
     std::vector<std::string> out;
-    for (const auto &name : order_)
-        if (category_.at(name) == c)
-            out.push_back(name);
+    for (int node = 0; node < static_cast<int>(category_.size()); node++)
+        if (cg_->functionOf(node) && category_[node] == c)
+            out.push_back(cg_->nameOf(node));
     return out;
 }
 

@@ -22,8 +22,8 @@
 #ifndef RID_ANALYSIS_CLASSIFIER_H
 #define RID_ANALYSIS_CLASSIFIER_H
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/callgraph.h"
@@ -50,15 +50,24 @@ class FunctionClassifier
 {
   public:
     /**
-     * Classify every function of @p mod.
+     * Classify every function of @p mod over @p cg, a call graph of
+     * @p mod that must outlive the classifier.
      *
      * @param seeds names of the refcount APIs (functions whose predefined
      *              summaries change refcounts)
      */
+    FunctionClassifier(const ir::Module &mod, const CallGraph &cg,
+                       const std::vector<std::string> &seeds);
+
+    /** Classify over a call graph built (and owned) here. */
     FunctionClassifier(const ir::Module &mod,
                        const std::vector<std::string> &seeds);
 
     Category categoryOf(const std::string &fn) const;
+
+    /** Category of node @p node of the classifier's call graph (Other
+     *  for synthetic nodes, which name no module function). */
+    Category categoryOfNode(int node) const { return category_.at(node); }
 
     ClassifierStats stats() const;
 
@@ -66,9 +75,13 @@ class FunctionClassifier
     std::vector<std::string> functionsIn(Category c) const;
 
   private:
-    const ir::Module &mod_;
-    std::vector<std::string> order_;  // module order for reporting
-    std::unordered_map<std::string, Category> category_;
+    void classify(const ir::Module &mod,
+                  const std::vector<std::string> &seeds);
+
+    std::unique_ptr<CallGraph> owned_cg_;
+    const CallGraph *cg_;
+    /** Per call-graph node. */
+    std::vector<Category> category_;
 };
 
 } // namespace rid::analysis

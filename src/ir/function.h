@@ -108,6 +108,9 @@ class Function
     void verify() const;
 
     std::string str() const;
+    /** Append str() to @p out: the one IR printer, shared by str() and
+     *  fingerprint(). */
+    void appendTo(std::string &out) const;
 
     /**
      * Stable 64-bit fingerprint of the function body: FNV-1a over the

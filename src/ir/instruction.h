@@ -92,6 +92,8 @@ struct Instruction
     }
 
     std::string str() const;
+    /** Append str() to @p out (the printer str() is built on). */
+    void appendTo(std::string &out) const;
 };
 
 } // namespace rid::ir

@@ -1,8 +1,9 @@
 #include "ir/function.h"
 
 #include <cassert>
+#include <charconv>
 #include <set>
-#include <sstream>
+#include <string_view>
 
 #include "obs/failpoint.h"
 #include "smt/intern.h"
@@ -44,17 +45,52 @@ Value::null()
     return v;
 }
 
+namespace {
+
+// Pieces of printed IR. print(out, a, b, ...) appends each in turn, so
+// the printers below read like stream code without a stream per line.
+void put(std::string &out, std::string_view text) { out += text; }
+void put(std::string &out, char c) { out += c; }
+
+void
+put(std::string &out, int64_t v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+void put(std::string &out, int v) { put(out, static_cast<int64_t>(v)); }
+void put(std::string &out, const Value &v) { v.appendTo(out); }
+
+template <typename... Pieces>
+void
+print(std::string &out, const Pieces &...pieces)
+{
+    (put(out, pieces), ...);
+}
+
+} // anonymous namespace
+
+void
+Value::appendTo(std::string &out) const
+{
+    switch (kind_) {
+      case ValueKind::None: out += "<none>"; return;
+      case ValueKind::Var: out += name_; return;
+      case ValueKind::IntConst: put(out, int_); return;
+      case ValueKind::BoolConst: out += int_ ? "true" : "false"; return;
+      case ValueKind::Null: out += "null"; return;
+    }
+    out += "?";
+}
+
 std::string
 Value::str() const
 {
-    switch (kind_) {
-      case ValueKind::None: return "<none>";
-      case ValueKind::Var: return name_;
-      case ValueKind::IntConst: return std::to_string(int_);
-      case ValueKind::BoolConst: return int_ ? "true" : "false";
-      case ValueKind::Null: return "null";
-    }
-    return "?";
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 const char *
@@ -168,52 +204,56 @@ Instruction::branch(BlockId target)
     return i;
 }
 
-std::string
-Instruction::str() const
+void
+Instruction::appendTo(std::string &out) const
 {
-    std::ostringstream os;
     switch (op) {
       case Opcode::Assign:
-        os << dst << " = " << a.str();
+        print(out, dst, " = ", a);
         break;
       case Opcode::FieldLoad:
-        os << dst << " = " << a.str() << "." << field;
+        print(out, dst, " = ", a, '.', field);
         break;
       case Opcode::FieldStore:
-        os << a.str() << "." << field << " = " << b.str();
+        print(out, a, '.', field, " = ", b);
         break;
       case Opcode::Random:
-        os << dst << " = random";
+        print(out, dst, " = random");
         break;
       case Opcode::Call:
         if (!dst.empty())
-            os << dst << " = ";
-        os << callee << "(";
+            print(out, dst, " = ");
+        print(out, callee, '(');
         for (size_t i = 0; i < args.size(); i++) {
             if (i)
-                os << ", ";
-            os << args[i].str();
+                out += ", ";
+            put(out, args[i]);
         }
-        os << ")";
+        out += ')';
         break;
       case Opcode::Return:
-        os << "return";
+        out += "return";
         if (!a.isNone())
-            os << " " << a.str();
+            print(out, ' ', a);
         break;
       case Opcode::Cmp:
-        os << dst << " = " << a.str() << " " << smt::predSpelling(pred)
-           << " " << b.str();
+        print(out, dst, " = ", a, ' ', smt::predSpelling(pred), ' ', b);
         break;
       case Opcode::CondBranch:
-        os << "branch " << a.str() << ", bb" << target << ", bb"
-           << target_else;
+        print(out, "branch ", a, ", bb", target, ", bb", target_else);
         break;
       case Opcode::Branch:
-        os << "branch bb" << target;
+        print(out, "branch bb", target);
         break;
     }
-    return os.str();
+}
+
+std::string
+Instruction::str() const
+{
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 std::vector<BlockId>
@@ -298,38 +338,49 @@ Function::verify() const
     }
 }
 
+void
+Function::appendTo(std::string &out) const
+{
+    print(out, returnsValue_ ? "int " : "void ", name_, '(');
+    for (size_t i = 0; i < params_.size(); i++) {
+        if (i)
+            out += ", ";
+        out += params_[i];
+    }
+    out += ')';
+    if (isDeclaration()) {
+        out += ";\n";
+        return;
+    }
+    out += " {\n";
+    for (size_t b = 0; b < blocks_.size(); b++) {
+        print(out, "  bb", static_cast<int64_t>(b));
+        if (!blocks_[b].label.empty())
+            print(out, " (", blocks_[b].label, ')');
+        out += ":\n";
+        for (const auto &in : blocks_[b].instrs) {
+            out += "    ";
+            in.appendTo(out);
+            out += '\n';
+        }
+    }
+    out += "}\n";
+}
+
 std::string
 Function::str() const
 {
-    std::ostringstream os;
-    os << (returnsValue_ ? "int " : "void ") << name_ << "(";
-    for (size_t i = 0; i < params_.size(); i++) {
-        if (i)
-            os << ", ";
-        os << params_[i];
-    }
-    os << ")";
-    if (isDeclaration()) {
-        os << ";\n";
-        return os.str();
-    }
-    os << " {\n";
-    for (size_t b = 0; b < blocks_.size(); b++) {
-        os << "  bb" << b;
-        if (!blocks_[b].label.empty())
-            os << " (" << blocks_[b].label << ")";
-        os << ":\n";
-        for (const auto &in : blocks_[b].instrs)
-            os << "    " << in.str() << "\n";
-    }
-    os << "}\n";
-    return os.str();
+    std::string out;
+    appendTo(out);
+    return out;
 }
 
 uint64_t
 Function::fingerprint() const
 {
-    return smt::fpBytes(str());
+    std::string printed;
+    appendTo(printed);
+    return smt::fpBytes(printed);
 }
 
 Function *
@@ -383,10 +434,12 @@ Module::absorb(Module other)
 std::string
 Module::str() const
 {
-    std::ostringstream os;
-    for (const auto &fn : functions_)
-        os << fn->str() << "\n";
-    return os.str();
+    std::string out;
+    for (const auto &fn : functions_) {
+        fn->appendTo(out);
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace rid::ir

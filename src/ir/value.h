@@ -55,6 +55,8 @@ class Value
     }
 
     std::string str() const;
+    /** Append str() to @p out (the printer str() is built on). */
+    void appendTo(std::string &out) const;
 
   private:
     ValueKind kind_ = ValueKind::None;

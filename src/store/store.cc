@@ -501,6 +501,7 @@ AnalysisStore::record(const Key &key, analysis::FnStatus status,
         payload += e.reports_blob;
 
         size_t n = kFrameHeaderSize + payload.size();
+        barrier_pending_ = true;
         if (!writer_.appendFrame(kFrameFunction, payload)) {
             io_.failed_writes++;
             return 0;
@@ -521,6 +522,8 @@ AnalysisStore::checkpoint(uint64_t tag)
     try {
         std::string payload;
         std::lock_guard<std::mutex> lock(mutex_);
+        if (!barrier_pending_)
+            return; // nothing new to cover since the last barrier
         putU64(payload, tag);
         putU64(payload, static_cast<uint64_t>(entries_.size()));
         if (!writer_.appendFrame(kFrameCheckpoint, payload) ||
@@ -529,6 +532,7 @@ AnalysisStore::checkpoint(uint64_t tag)
             return;
         }
         io_.bytes_appended += kFrameHeaderSize + payload.size();
+        barrier_pending_ = false;
     } catch (const std::exception &) {
         std::lock_guard<std::mutex> lock(mutex_);
         io_.failed_writes++;

@@ -8,7 +8,10 @@
  * computed summary (spec-text payload, the same codec as
  * Rid::exportSummaries) and fully round-tripped bug reports — keyed by
  * (body fingerprint, spec/domain-config fingerprint). Checkpoint frames
- * are durability barriers: everything before one is fsync'd.
+ * are durability barriers: everything before one is fsync'd. A barrier
+ * with nothing new to cover (no frame appended since the previous one)
+ * writes and syncs nothing; the first barrier after opening always
+ * commits.
  *
  * Opening with resume runs the recovery scan: torn tails are dropped,
  * corrupt frames are skipped (and counted), and the surviving last
@@ -110,6 +113,9 @@ class AnalysisStore : public analysis::FunctionStore
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Entry> entries_;
     IoStats io_;
+    /** True while log bytes exist that no barrier covers: the header or
+     *  recovered tail before the first barrier, then any frame append. */
+    bool barrier_pending_ = true;
 };
 
 } // namespace rid::store

@@ -24,6 +24,9 @@
 #include "kernel/inject.h"
 #include "kernel/score.h"
 #include "obs/failpoint.h"
+#include "obs/provenance.h"
+#include "smt/intern.h"
+#include "summary/spec.h"
 
 namespace rid {
 namespace {
@@ -131,6 +134,33 @@ stripSummaries(const std::string &digest)
     return digest.substr(0, summaries) + digest.substr(diagnostics);
 }
 
+/**
+ * What ridc prints to stderr for one run, minus the timing line:
+ * RunResult::str(), its reports in emitted (unsorted) order. Both
+ * shared caches are off, since their hit counts legitimately depend on
+ * scheduling.
+ */
+std::string
+emittedRun(const kernel::Corpus &corpus, int threads)
+{
+    analysis::AnalyzerOptions opts;
+    opts.threads = threads;
+    opts.use_query_cache = false;
+    opts.intern_instantiations = false;
+    Rid tool(opts);
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.loadSpecText(kernel::lockSpecText());
+    tool.loadSpecText(kernel::allocSpecText());
+    tool.addSource(kFigure9Source);
+    for (const auto &file : corpus.files)
+        tool.addSource(file.text);
+    std::string text = tool.run().str();
+    size_t phases = text.find("phases: ");
+    if (phases != std::string::npos)
+        text.erase(phases, text.find('\n', phases) + 1 - phases);
+    return text;
+}
+
 class AnalyzerDeterminismTest : public ::testing::Test
 {
   protected:
@@ -184,6 +214,21 @@ TEST_F(AnalyzerDeterminismTest, RepeatedRunsAreByteIdentical)
     // nondeterminism (iteration over pointer-keyed containers, races on
     // the shared cache, ...).
     EXPECT_EQ(runDigest(corpus_, 4, 4, true), runDigest(corpus_, 4, 4, true));
+}
+
+TEST_F(AnalyzerDeterminismTest, EmittedReportOrderIsThreadInvariant)
+{
+    // Unsorted: SCC-level workers finish in any order, yet the emitted
+    // report list must be the sequential (reverse-topological) order,
+    // byte for byte, on every thread count and every repetition.
+    std::string baseline = emittedRun(multi_corpus_, 1);
+    ASSERT_NE(baseline.find("idmouse_open"), std::string::npos);
+    for (int rep = 0; rep < 3; rep++) {
+        for (int threads : {1, 4}) {
+            EXPECT_EQ(emittedRun(multi_corpus_, threads), baseline)
+                << "threads=" << threads << " rep=" << rep;
+        }
+    }
 }
 
 TEST_F(AnalyzerDeterminismTest, GenerousBudgetIsByteIdenticalToNoBudget)
@@ -619,6 +664,71 @@ TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
             }
         }
     }
+}
+
+TEST_F(InjectedDeterminismTest, BodyFingerprintsArePinned)
+{
+    // Body fingerprints key the store and seed every report fingerprint,
+    // so they are pinned twice: to the printed IR they are defined over,
+    // and to a recorded digest of every (name, fingerprint) pair.
+    Rid tool;
+    for (const auto &file : triage_injected_.corpus.files)
+        tool.addSource(file.text);
+    uint64_t digest = smt::fpBytes("rid-body-fingerprints");
+    for (const auto &fn : tool.module().functions()) {
+        EXPECT_EQ(fn->fingerprint(), smt::fpBytes(fn->str()))
+            << fn->name();
+        digest = smt::fpCombine(digest, smt::fpBytes(fn->name()));
+        digest = smt::fpCombine(digest, fn->fingerprint());
+    }
+    EXPECT_EQ(tool.module().size(), 2845u);
+    EXPECT_EQ(obs::fpHex(digest), "0x669e6302a3619327");
+}
+
+TEST_F(InjectedDeterminismTest, ClassifierSharesTheRunCallGraph)
+{
+    Rid tool;
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.loadSpecText(kernel::lockSpecText());
+    tool.loadSpecText(kernel::allocSpecText());
+    for (const auto &file : injected_.corpus.files)
+        tool.addSource(file.text);
+    const ir::Module &mod = tool.module();
+    std::vector<std::string> seeds = tool.summaries().namesWithChanges();
+
+    // A classifier over a shared graph classifies exactly like one that
+    // builds its own.
+    analysis::CallGraph cg(mod);
+    analysis::FunctionClassifier shared(mod, cg, seeds);
+    analysis::FunctionClassifier own(mod, seeds);
+    size_t refcount_changing = 0;
+    for (int node = 0; node < static_cast<int>(cg.size()); node++) {
+        const std::string &name = cg.nameOf(node);
+        EXPECT_EQ(shared.categoryOf(name), own.categoryOf(name)) << name;
+        EXPECT_EQ(shared.categoryOfNode(node), own.categoryOf(name))
+            << name;
+        refcount_changing +=
+            own.categoryOf(name) == analysis::Category::RefcountChanging;
+    }
+    EXPECT_GT(refcount_changing, 0u);
+
+    // A traced run builds one call graph, shared by classification, the
+    // resume plan and the traversal.
+    analysis::AnalyzerOptions opts;
+    opts.tracer = std::make_shared<obs::Tracer>();
+    summary::SummaryDb db;
+    summary::loadSpecsInto(kernel::dpmSpecText(), db);
+    summary::loadSpecsInto(kernel::lockSpecText(), db);
+    summary::loadSpecsInto(kernel::allocSpecText(), db);
+    analysis::Analyzer analyzer(mod, db, opts);
+    analyzer.run();
+    size_t builds = 0;
+    for (const auto &event : opts.tracer->sortedEvents())
+        builds += std::string(event.name) == "callgraph";
+    EXPECT_EQ(builds, 1u);
+    ASSERT_NE(analyzer.classifier(), nullptr);
+    EXPECT_EQ(analyzer.classifier()->stats().refcount_changing,
+              own.stats().refcount_changing);
 }
 
 TEST_F(InjectedDeterminismTest, FingerprintsAreConfigInvariant)

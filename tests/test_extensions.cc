@@ -318,10 +318,16 @@ runCli(const std::string &args)
     return r;
 }
 
+/** Write @p text to a temp file private to the running test: ctest -j
+ *  runs the CLI tests concurrently, and a shared path would let one
+ *  test truncate a file while another test's ridc reads it. */
 std::string
 writeTemp(const std::string &name, const std::string &text)
 {
-    std::string path = ::testing::TempDir() + name;
+    std::string path =
+        ::testing::TempDir() +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + name;
     std::ofstream(path) << text;
     return path;
 }

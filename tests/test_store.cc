@@ -239,6 +239,54 @@ TEST(Supervisor, LadderExhaustionQuarantinesWithAProvenanceNote)
     EXPECT_NE(d.note.find("injected fault"), std::string::npos) << d.note;
 }
 
+// ------------------------------------------------------------ barriers
+
+/** Frame types of a log, in order. */
+std::vector<uint8_t>
+frameTypes(const std::string &log)
+{
+    std::vector<uint8_t> types;
+    for (const auto &frame : store::scanWal(log).frames)
+        types.push_back(frame.type);
+    return types;
+}
+
+TEST(StoreBarrier, CheckpointWithNothingNewIsSkipped)
+{
+    std::string dir = freshDir("barrier_skip");
+    store::AnalysisStore::Options opts;
+    opts.path = dir;
+    store::AnalysisStore st(opts);
+    const std::string &log = st.logPath();
+    const auto cp = store::kFrameCheckpoint;
+    const auto fn = store::kFrameFunction;
+
+    // The first barrier commits even with no frame (it covers the
+    // header); a second one with nothing new writes nothing.
+    st.checkpoint(0);
+    st.checkpoint(1);
+    EXPECT_EQ(frameTypes(slurpFile(log)), (std::vector<uint8_t>{cp}));
+
+    // A recorded frame is covered by the next barrier, and only once.
+    ASSERT_GT(st.record({"f", 1, 2}, analysis::FnStatus::Ok, "", true,
+                        nullptr, {}),
+              0u);
+    st.checkpoint(2);
+    st.checkpoint(3);
+    EXPECT_EQ(frameTypes(slurpFile(log)),
+              (std::vector<uint8_t>{cp, fn, cp}));
+    EXPECT_EQ(st.ioStats().failed_writes, 0u);
+
+    // Reopening for resume starts a new barrier window: the first
+    // barrier commits again, covering the recovered log.
+    opts.resume = true;
+    store::AnalysisStore resumed(opts);
+    resumed.checkpoint(0);
+    resumed.checkpoint(1);
+    EXPECT_EQ(frameTypes(slurpFile(log)),
+              (std::vector<uint8_t>{cp, fn, cp, cp}));
+}
+
 // --------------------------------------------------- config fingerprint
 
 TEST(StoreConfig, FingerprintTracksSpecsAndOutputAffectingOptions)
@@ -575,6 +623,92 @@ int unrelated(struct device *d) {
     EXPECT_EQ(result.stats.store.hits, 1u);
     EXPECT_EQ(result.stats.store.misses, 2u);
     EXPECT_EQ(result.stats.functions_analyzed, 2u);
+}
+
+TEST_F(StoreEndToEnd, UnchangedWarmResumeAppendsOnlyOneCheckpoint)
+{
+    std::string dir = freshDir("warm_barrier");
+    makeTool(dir, /*resume=*/false)->run();
+    std::string cold = slurpFile(dir + "/analysis.wal");
+
+    // Every function replays, so no function frame is appended and only
+    // the run's first barrier (covering the recovered log) commits.
+    RunResult warm = makeTool(dir, /*resume=*/true)->run();
+    EXPECT_EQ(warm.stats.store.misses, 0u);
+    std::string after = slurpFile(dir + "/analysis.wal");
+    ASSERT_EQ(after.compare(0, cold.size(), cold), 0)
+        << "the resume rewrote the cold log";
+    std::vector<uint8_t> added = frameTypes(after);
+    added.erase(added.begin(), added.begin() + frameTypes(cold).size());
+    EXPECT_EQ(added, (std::vector<uint8_t>{store::kFrameCheckpoint}));
+    EXPECT_EQ(warm.stats.store.bytes_appended,
+              store::kFrameHeaderSize + 16);
+}
+
+TEST_F(StoreEndToEnd, EditedFunctionFrameIsFollowedByACheckpoint)
+{
+    const char *v1 = R"(
+int helper(struct device *d, int x) {
+    int s;
+    s = pm_runtime_get_sync(d);
+    if (x < 0) {
+        pm_runtime_put(d);
+        return -1;
+    }
+    return 0;
+}
+int unrelated(struct device *d) {
+    int t;
+    t = pm_runtime_get_sync(d);
+    pm_runtime_put(d);
+    return 0;
+}
+)";
+    // v2 edits only `helper`; its body fingerprint changes.
+    const char *v2 = R"(
+int helper(struct device *d, int x) {
+    int s;
+    int note;
+    note = x;
+    s = pm_runtime_get_sync(d);
+    if (x < 0) {
+        pm_runtime_put(d);
+        return -1;
+    }
+    return 0;
+}
+int unrelated(struct device *d) {
+    int t;
+    t = pm_runtime_get_sync(d);
+    pm_runtime_put(d);
+    return 0;
+}
+)";
+    auto scan = [](const std::string &dir, bool resume,
+                   const char *source) {
+        analysis::AnalyzerOptions opts;
+        opts.store_path = dir;
+        opts.resume = resume;
+        Rid tool(opts);
+        tool.loadSpecText(kernel::dpmSpecText());
+        tool.addSource(source);
+        return tool.run();
+    };
+
+    std::string dir = freshDir("edit_barrier");
+    scan(dir, false, v1);
+    size_t before = store::scanWal(slurpFile(dir + "/analysis.wal"))
+                        .frames.size();
+
+    RunResult result = scan(dir, true, v2);
+    EXPECT_EQ(result.stats.store.misses, 1u);
+    store::WalScan after = store::scanWal(slurpFile(dir + "/analysis.wal"));
+    ASSERT_EQ(after.frames.size(), before + 2);
+    // The edited function's frame, then the barrier that syncs it.
+    const store::WalFrame &frame = after.frames[before];
+    EXPECT_EQ(frame.type, store::kFrameFunction);
+    EXPECT_EQ(frame.payload.compare(4, 6, "helper"), 0);
+    EXPECT_EQ(after.frames[before + 1].type, store::kFrameCheckpoint);
 }
 
 TEST_F(StoreEndToEnd, FailingFunctionClimbsTheLadderIntoQuarantine)
