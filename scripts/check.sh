@@ -12,7 +12,9 @@
 # byte-identical over the corpus, under budgets and under faults.
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
-# tree, building only the chaos test), runs the engine differential and
+# tree, building only the chaos test), runs the frontend's byte-level
+# mutation fuzz and the lexer suite under the same sanitizers (tokens
+# view the source buffer), runs the engine differential and
 # the tree-executor unit suite under the same sanitizers (the COW store
 # and persistent condition chain are exactly the kind of shared-
 # ownership code ASan exists for), runs the summary-compaction unit
@@ -60,6 +62,14 @@ echo "== sanitizer smoke (ASan+UBSan chaos run) =="
 cmake -B build-asan -S . -DRID_SANITIZE=ON
 cmake --build build-asan -j --target test_robustness_chaos
 ./build-asan/tests/test_robustness_chaos
+
+# Tokens are string_view slices of the source buffer; a mutated or
+# truncated file that leaves a view dangling shows up here.
+echo "== sanitizer smoke (ASan+UBSan frontend mutation fuzz) =="
+cmake --build build-asan -j --target test_frontend_fuzz \
+    --target test_frontend_lexer
+./build-asan/tests/test_frontend_fuzz
+./build-asan/tests/test_frontend_lexer
 
 echo "== sanitizer smoke (ASan+UBSan durable store) =="
 cmake --build build-asan -j --target test_store

@@ -402,6 +402,9 @@ class Analyzer
         return classifier_.get();
     }
 
+    /** The last run()'s call graph over the module (null before run()). */
+    const CallGraph *callGraph() const { return callgraph_.get(); }
+
     /** The shared solver-verdict cache (null when disabled). */
     const std::shared_ptr<smt::QueryCache> &queryCache() const
     {

@@ -370,18 +370,17 @@ Rid::loadSpecFile(const std::string &path)
 }
 
 void
-Rid::addSource(const std::string &kernel_c_source)
+Rid::addSource(std::string kernel_c_source)
 {
     module_.absorb(frontend::compile(kernel_c_source, lower_opts_));
     // Retained past the compile so a later triage run can re-lower the
     // unit at higher precision; only units that compiled are kept (the
     // tolerant path must not feed triage a unit the run rejected).
-    sources_.emplace_back(std::string(), kernel_c_source);
+    sources_.emplace_back(std::string(), std::move(kernel_c_source));
 }
 
 bool
-Rid::addSourceTolerant(const std::string &name,
-                       const std::string &kernel_c_source)
+Rid::addSourceTolerant(const std::string &name, std::string kernel_c_source)
 {
     // File-level fault isolation: one unparseable unit (or one whose
     // lowering produced invalid IR, or an injected frontend fault) must
@@ -389,7 +388,7 @@ Rid::addSourceTolerant(const std::string &name,
     // take part in the run; callers see why via fileDiagnostics().
     obs::FailpointScope fp_scope(name);
     try {
-        addSource(kernel_c_source);
+        addSource(std::move(kernel_c_source));
         return true;
     } catch (const std::exception &e) {
         file_errors_.push_back(FileDiagnostic{name, e.what()});
@@ -534,7 +533,8 @@ Rid::run()
         topts.max_subcases = opts_.max_subcases;
         topts.lower = lower_opts_;
         triage::TriagePass pass(module_, db_, sources_,
-                                analyzer.queryCache(), topts);
+                                analyzer.queryCache(), topts,
+                                analyzer.callGraph());
         pass.run(result.reports);
         result.triage = pass.stats();
         // The cache snapshot in AnalyzerStats predates the pass; refresh

@@ -114,9 +114,10 @@ class Rid
      */
     bool loadSpecTolerant(const std::string &name, const std::string &text);
 
-    /** Parse and add a Kernel-C translation unit.
+    /** Parse and add a Kernel-C translation unit. The source is kept
+     *  (for triage), so pass it by move to avoid a copy.
      *  @throws frontend::ParseError on syntax errors. */
-    void addSource(const std::string &kernel_c_source);
+    void addSource(std::string kernel_c_source);
 
     /**
      * Fault-isolating variant of addSource(): a file that fails to parse
@@ -125,7 +126,7 @@ class Rid
      * @return true if the unit was added, false if it was rejected
      */
     bool addSourceTolerant(const std::string &name,
-                           const std::string &kernel_c_source);
+                           std::string kernel_c_source);
 
     /** Files rejected by addSourceTolerant() so far. */
     const std::vector<FileDiagnostic> &fileDiagnostics() const

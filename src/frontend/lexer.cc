@@ -1,8 +1,6 @@
 #include "frontend/lexer.h"
 
-#include <cctype>
 #include <cstring>
-#include <map>
 
 namespace rid::frontend {
 
@@ -100,37 +98,98 @@ tokName(Tok t)
 
 namespace {
 
-const std::map<std::string, Tok> &
-keywords()
+// ASCII classification: the lexer's character classes are fixed by the
+// language, not by the process locale.
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool
+isAlpha(char c)
 {
-    static const std::map<std::string, Tok> kw = {
-        {"int", Tok::KwInt},         {"void", Tok::KwVoid},
-        {"struct", Tok::KwStruct},   {"enum", Tok::KwEnum},
-        {"union", Tok::KwUnion},     {"if", Tok::KwIf},
-        {"else", Tok::KwElse},       {"while", Tok::KwWhile},
-        {"for", Tok::KwFor},         {"return", Tok::KwReturn},
-        {"goto", Tok::KwGoto},       {"NULL", Tok::KwNull},
-        {"true", Tok::KwTrue},       {"false", Tok::KwFalse},
-        {"assert", Tok::KwAssert},   {"static", Tok::KwStatic},
-        {"extern", Tok::KwExtern},   {"const", Tok::KwConst},
-        {"unsigned", Tok::KwUnsigned}, {"signed", Tok::KwSigned},
-        {"long", Tok::KwLong},       {"short", Tok::KwShort},
-        {"char", Tok::KwChar},       {"bool", Tok::KwBool},
-        {"break", Tok::KwBreak},     {"continue", Tok::KwContinue},
-        {"inline", Tok::KwInline},   {"volatile", Tok::KwVolatile},
-        {"typedef", Tok::KwTypedef}, {"sizeof", Tok::KwSizeof},
-        {"do", Tok::KwDo},           {"switch", Tok::KwSwitch},
-        {"case", Tok::KwCase},       {"default", Tok::KwDefault},
-    };
-    return kw;
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
+bool isIdentChar(char c) { return isAlnum(c) || c == '_'; }
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+}
+
+/** The keyword spelled @p w, or Tok::Ident. */
+Tok
+keywordOf(std::string_view w)
+{
+    auto is = [&](std::string_view kw) { return w == kw; };
+    switch (w[0]) {
+      case 'N': if (is("NULL")) return Tok::KwNull; break;
+      case 'a': if (is("assert")) return Tok::KwAssert; break;
+      case 'b':
+        if (is("bool")) return Tok::KwBool;
+        if (is("break")) return Tok::KwBreak;
+        break;
+      case 'c':
+        if (is("char")) return Tok::KwChar;
+        if (is("case")) return Tok::KwCase;
+        if (is("const")) return Tok::KwConst;
+        if (is("continue")) return Tok::KwContinue;
+        break;
+      case 'd':
+        if (is("do")) return Tok::KwDo;
+        if (is("default")) return Tok::KwDefault;
+        break;
+      case 'e':
+        if (is("else")) return Tok::KwElse;
+        if (is("enum")) return Tok::KwEnum;
+        if (is("extern")) return Tok::KwExtern;
+        break;
+      case 'f':
+        if (is("for")) return Tok::KwFor;
+        if (is("false")) return Tok::KwFalse;
+        break;
+      case 'g': if (is("goto")) return Tok::KwGoto; break;
+      case 'i':
+        if (is("if")) return Tok::KwIf;
+        if (is("int")) return Tok::KwInt;
+        if (is("inline")) return Tok::KwInline;
+        break;
+      case 'l': if (is("long")) return Tok::KwLong; break;
+      case 'r': if (is("return")) return Tok::KwReturn; break;
+      case 's':
+        if (is("struct")) return Tok::KwStruct;
+        if (is("static")) return Tok::KwStatic;
+        if (is("signed")) return Tok::KwSigned;
+        if (is("short")) return Tok::KwShort;
+        if (is("sizeof")) return Tok::KwSizeof;
+        if (is("switch")) return Tok::KwSwitch;
+        break;
+      case 't':
+        if (is("true")) return Tok::KwTrue;
+        if (is("typedef")) return Tok::KwTypedef;
+        break;
+      case 'u':
+        if (is("union")) return Tok::KwUnion;
+        if (is("unsigned")) return Tok::KwUnsigned;
+        break;
+      case 'v':
+        if (is("void")) return Tok::KwVoid;
+        if (is("volatile")) return Tok::KwVolatile;
+        break;
+      case 'w': if (is("while")) return Tok::KwWhile; break;
+      default: break;
+    }
+    return Tok::Ident;
 }
 
 } // anonymous namespace
 
 std::vector<Token>
-tokenize(const std::string &src)
+tokenize(const std::string &source)
 {
+    const std::string_view src = source;
     std::vector<Token> out;
+    // Kernel-C averages close to four source bytes per token, so a third
+    // of the size covers a typical unit without regrowth.
+    out.reserve(src.size() / 3 + 1);
     size_t i = 0;
     int line = 1;
     const size_t n = src.size();
@@ -138,8 +197,8 @@ tokenize(const std::string &src)
     auto peek = [&](size_t off = 0) -> char {
         return i + off < n ? src[i + off] : '\0';
     };
-    auto push = [&](Tok kind, std::string text = "", int64_t num = 0) {
-        out.push_back(Token{kind, std::move(text), num, line});
+    auto push = [&](Tok kind, std::string_view text = {}, int64_t num = 0) {
+        out.push_back(Token{text, num, line, kind});
     };
 
     while (i < n) {
@@ -149,7 +208,7 @@ tokenize(const std::string &src)
             i++;
             continue;
         }
-        if (std::isspace(static_cast<unsigned char>(c))) {
+        if (isSpace(c)) {
             i++;
             continue;
         }
@@ -177,43 +236,38 @@ tokenize(const std::string &src)
             i += 2;
             continue;
         }
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+        if (isAlpha(c) || c == '_') {
             size_t start = i;
-            while (i < n && (std::isalnum(static_cast<unsigned char>(src[i]))
-                             || src[i] == '_')) {
+            while (i < n && isIdentChar(src[i]))
                 i++;
-            }
-            std::string word = src.substr(start, i - start);
-            auto it = keywords().find(word);
-            if (it != keywords().end())
-                push(it->second, word);
-            else
-                push(Tok::Ident, std::move(word));
+            std::string_view word = src.substr(start, i - start);
+            push(keywordOf(word), word);
             continue;
         }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
+        if (isDigit(c)) {
             size_t start = i;
             int base = 10;
             if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
                 base = 16;
                 i += 2;
             }
-            while (i < n &&
-                   (std::isalnum(static_cast<unsigned char>(src[i])))) {
+            while (i < n && isAlnum(src[i]))
                 i++;
-            }
-            std::string text = src.substr(start, i - start);
+            std::string_view text = src.substr(start, i - start);
             // Strip integer suffixes (u, l, ul, ull...).
-            std::string digits = text;
+            std::string_view digits = text;
             while (!digits.empty() &&
                    strchr("uUlL", digits.back()) != nullptr) {
-                digits.pop_back();
+                digits.remove_suffix(1);
             }
             int64_t value = 0;
             try {
-                value = std::stoll(digits, nullptr, base == 16 ? 16 : 10);
+                value = std::stoll(std::string(digits), nullptr,
+                                   base == 16 ? 16 : 10);
             } catch (const std::exception &) {
-                throw ParseError("bad numeric literal '" + text + "'", line);
+                throw ParseError("bad numeric literal '" +
+                                     std::string(text) + "'",
+                                 line);
             }
             push(Tok::Number, text, value);
             continue;
@@ -221,21 +275,20 @@ tokenize(const std::string &src)
         if (c == '"' || c == '\'') {
             char quote = c;
             size_t start_line = line;
-            i++;
-            std::string text;
+            size_t start = ++i;
             while (i < n && src[i] != quote) {
                 if (src[i] == '\\' && i + 1 < n) {
-                    text += src[i];
-                    text += src[i + 1];
                     i += 2;
                     continue;
                 }
                 if (src[i] == '\n')
                     line++;
-                text += src[i++];
+                i++;
             }
             if (i >= n)
                 throw ParseError("unterminated string", start_line);
+            // The raw spelling between the quotes, escapes unexpanded.
+            std::string_view text = src.substr(start, i - start);
             i++;
             if (quote == '\'') {
                 // Character constants become their numeric value.
@@ -244,7 +297,7 @@ tokenize(const std::string &src)
                                               : static_cast<int64_t>(text[0]);
                 push(Tok::Number, text, v);
             } else {
-                push(Tok::String, std::move(text));
+                push(Tok::String, text);
             }
             continue;
         }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rid::frontend {
@@ -47,12 +48,18 @@ enum class Tok : uint8_t {
 
 const char *tokName(Tok t);
 
+/**
+ * One token. `text` is a view into the source buffer passed to
+ * tokenize(), so a token is only valid while that buffer is alive and
+ * unmodified; the parser copies the text it keeps into the AST. Fields
+ * are ordered largest first so the struct packs into 32 bytes.
+ */
 struct Token
 {
-    Tok kind = Tok::End;
-    std::string text;   ///< identifier / string spelling
-    int64_t number = 0; ///< numeric value for Number
+    std::string_view text; ///< identifier / keyword / number / string spelling
+    int64_t number = 0;    ///< numeric value for Number
     int line = 0;
+    Tok kind = Tok::End;
 };
 
 /** Error raised by the lexer or parser; carries a source line. */
@@ -69,12 +76,16 @@ class ParseError : public std::runtime_error
 };
 
 /**
- * Tokenize Kernel-C source.
+ * Tokenize Kernel-C source. Token texts view @p source, which must
+ * outlive the returned tokens.
  *
  * @throws ParseError on malformed input (unterminated comment/string,
  *         stray characters).
  */
 std::vector<Token> tokenize(const std::string &source);
+/** Deleted: the tokens would view a temporary that dies at the end of
+ *  the call's full-expression. Tokenize a named string instead. */
+std::vector<Token> tokenize(std::string &&source) = delete;
 
 } // namespace rid::frontend
 

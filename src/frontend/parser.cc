@@ -52,11 +52,10 @@ class Parser
     [[noreturn]] void
     err(const std::string &msg) const
     {
-        throw ParseError(msg + " (got '" +
-                             (cur().kind == Tok::Ident ? cur().text
-                                                       : tokName(cur().kind)) +
-                             "')",
-                         line());
+        std::string got = cur().kind == Tok::Ident
+                              ? std::string(cur().text)
+                              : tokName(cur().kind);
+        throw ParseError(msg + " (got '" + got + "')", line());
     }
 
     void
@@ -111,7 +110,7 @@ class Parser
         TypeInfo info;
         bool saw_specifier = false;
         bool pointer = false;
-        auto append = [&](const std::string &s) {
+        auto append = [&](std::string_view s) {
             if (!info.text.empty())
                 info.text += ' ';
             info.text += s;
@@ -341,7 +340,7 @@ class Parser
             advance();
             if (kind() != Tok::Ident)
                 err("expected label after goto");
-            s->names.push_back(cur().text);
+            s->names.emplace_back(cur().text);
             advance();
             expect(Tok::Semi, ";");
             return s;
@@ -375,7 +374,7 @@ class Parser
         // Label: IDENT ':'
         if (kind() == Tok::Ident && cur(1).kind == Tok::Colon) {
             auto s = makeStmt(AstStmtKind::Label);
-            s->names.push_back(cur().text);
+            s->names.emplace_back(cur().text);
             advance();
             advance();
             return s;
@@ -395,7 +394,7 @@ class Parser
                 while (accept(Tok::Star)) {}
                 if (kind() != Tok::Ident)
                     err("expected declarator name");
-                s->names.push_back(cur().text);
+                s->names.emplace_back(cur().text);
                 advance();
                 while (accept(Tok::LBracket)) {
                     while (kind() != Tok::RBracket && kind() != Tok::End)
@@ -688,7 +687,7 @@ class Parser
     {
         switch (kind()) {
           case Tok::Ident: {
-            auto e = AstExpr::ident(cur().text, line());
+            auto e = AstExpr::ident(std::string(cur().text), line());
             advance();
             return e;
           }

@@ -12,10 +12,11 @@
 #ifndef RID_IR_FUNCTION_H
 #define RID_IR_FUNCTION_H
 
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/instruction.h"
@@ -129,15 +130,22 @@ class Function
     std::vector<BasicBlock> blocks_;
 };
 
-/** A translation unit: an ordered collection of functions. */
+/**
+ * A translation unit: an ordered collection of functions. Each function
+ * is heap-owned and never moves, so a Function* stays valid until a
+ * definition replaces it (when it is a declaration), and across absorb()
+ * into another module when it wins its name there.
+ */
 class Module
 {
   public:
-    /** Add a function; returns a stable non-owning pointer. */
+    /** Add a function (definitions win over declarations; duplicate
+     *  definitions keep the first). Returns the live function under
+     *  @p fn's name: a stable non-owning pointer. */
     Function *addFunction(Function fn);
 
-    Function *find(const std::string &name);
-    const Function *find(const std::string &name) const;
+    Function *find(std::string_view name);
+    const Function *find(std::string_view name) const;
 
     const std::vector<std::unique_ptr<Function>> &functions() const
     {
@@ -147,14 +155,19 @@ class Module
     size_t size() const { return functions_.size(); }
 
     /** Merge all functions of @p other into this module (definitions win
-     *  over declarations; duplicate definitions keep the first). */
+     *  over declarations; duplicate definitions keep the first). The
+     *  winners are adopted as they are, not copied. */
     void absorb(Module other);
 
     std::string str() const;
 
   private:
+    Function *adopt(std::unique_ptr<Function> fn);
+
     std::vector<std::unique_ptr<Function>> functions_;
-    std::map<std::string, Function *> byName_;
+    /** Name -> slot in functions_. Each key views the name of the
+     *  function in its slot, so a replacement re-keys the entry. */
+    std::unordered_map<std::string_view, size_t> slots_;
 };
 
 } // namespace rid::ir

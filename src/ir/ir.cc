@@ -386,49 +386,49 @@ Function::fingerprint() const
 Function *
 Module::addFunction(Function fn)
 {
-    auto it = byName_.find(fn.name());
-    if (it != byName_.end()) {
-        // Keep a definition over a declaration; otherwise first wins.
-        if (it->second->isDeclaration() && !fn.isDeclaration()) {
-            auto owned = std::make_unique<Function>(std::move(fn));
-            Function *raw = owned.get();
-            for (auto &slot : functions_) {
-                if (slot.get() == it->second) {
-                    slot = std::move(owned);
-                    break;
-                }
-            }
-            it->second = raw;
-            return raw;
-        }
-        return it->second;
-    }
-    auto owned = std::make_unique<Function>(std::move(fn));
-    Function *raw = owned.get();
-    functions_.push_back(std::move(owned));
-    byName_[raw->name()] = raw;
-    return raw;
+    return adopt(std::make_unique<Function>(std::move(fn)));
 }
 
 Function *
-Module::find(const std::string &name)
+Module::adopt(std::unique_ptr<Function> fn)
 {
-    auto it = byName_.find(name);
-    return it == byName_.end() ? nullptr : it->second;
+    auto [it, inserted] = slots_.try_emplace(fn->name(), functions_.size());
+    if (inserted) {
+        functions_.push_back(std::move(fn));
+        return functions_.back().get();
+    }
+    std::unique_ptr<Function> &slot = functions_[it->second];
+    // Keep a definition over a declaration; otherwise first wins. The
+    // definition takes the declaration's slot, and the key, which views
+    // the declaration's name, is re-pointed at the definition's.
+    if (slot->isDeclaration() && !fn->isDeclaration()) {
+        auto node = slots_.extract(it);
+        node.key() = fn->name();
+        slots_.insert(std::move(node));
+        slot = std::move(fn);
+    }
+    return slot.get();
+}
+
+Function *
+Module::find(std::string_view name)
+{
+    auto it = slots_.find(name);
+    return it == slots_.end() ? nullptr : functions_[it->second].get();
 }
 
 const Function *
-Module::find(const std::string &name) const
+Module::find(std::string_view name) const
 {
-    auto it = byName_.find(name);
-    return it == byName_.end() ? nullptr : it->second;
+    auto it = slots_.find(name);
+    return it == slots_.end() ? nullptr : functions_[it->second].get();
 }
 
 void
 Module::absorb(Module other)
 {
     for (auto &fn : other.functions_)
-        addFunction(std::move(*fn));
+        adopt(std::move(fn));
 }
 
 std::string

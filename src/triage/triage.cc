@@ -47,9 +47,10 @@ matchesKey(const summary::EffectKey &key, const analysis::BugReport &r)
 TriagePass::TriagePass(
     const ir::Module &mod, const summary::SummaryDb &db,
     const std::vector<std::pair<std::string, std::string>> &sources,
-    std::shared_ptr<smt::QueryCache> cache, TriageOptions opts)
+    std::shared_ptr<smt::QueryCache> cache, TriageOptions opts,
+    const analysis::CallGraph *callgraph)
     : mod_(mod), db_(db), sources_(sources), cache_(std::move(cache)),
-      opts_(opts)
+      opts_(opts), callgraph_(callgraph)
 {
 }
 
@@ -260,8 +261,10 @@ TriagePass::findDownstreamRelease(const analysis::BugReport &report)
 {
     if (opts_.extension_depth <= 0)
         return false;
-    if (!callgraph_)
-        callgraph_ = std::make_unique<analysis::CallGraph>(mod_);
+    if (!callgraph_) {
+        own_callgraph_ = std::make_unique<analysis::CallGraph>(mod_);
+        callgraph_ = own_callgraph_.get();
+    }
     int start = callgraph_->nodeOf(report.function);
     if (start < 0)
         return false;

@@ -112,8 +112,10 @@ struct TriageStats
 
 /**
  * The triage pass. Construct once per run with the run's module, summary
- * database (computed summaries included), retained (name, source) pairs
- * and the shared solver-verdict cache (null when the cache is off), then
+ * database (computed summaries included), retained (name, source) pairs,
+ * the shared solver-verdict cache (null when the cache is off) and,
+ * optionally, the run's call graph over that module (the pass builds its
+ * own on first need when it is null), then
  * run() over the run's reports: tiers are stamped, deciding refutation
  * queries are appended to each report's evidence, and the report vector
  * is re-ordered by rank.
@@ -124,7 +126,8 @@ class TriagePass
     TriagePass(const ir::Module &mod, const summary::SummaryDb &db,
                const std::vector<std::pair<std::string, std::string>> &sources,
                std::shared_ptr<smt::QueryCache> cache,
-               TriageOptions opts = {});
+               TriageOptions opts = {},
+               const analysis::CallGraph *callgraph = nullptr);
 
     /** Triage every report in place (tier + evidence), then sort by rank
      *  and stamp 1-based ranks. Never throws: injected faults and budget
@@ -172,7 +175,10 @@ class TriagePass
     bool hp_built_ = false;
     ir::Module hp_module_;
     std::map<std::string, HpExec> hp_cache_;
-    std::unique_ptr<analysis::CallGraph> callgraph_;
+    /** The graph the downstream-release search walks: the run's, or
+     *  own_callgraph_ once built. */
+    const analysis::CallGraph *callgraph_;
+    std::unique_ptr<analysis::CallGraph> own_callgraph_;
 };
 
 } // namespace rid::triage

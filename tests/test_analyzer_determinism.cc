@@ -731,6 +731,33 @@ TEST_F(InjectedDeterminismTest, ClassifierSharesTheRunCallGraph)
               own.stats().refcount_changing);
 }
 
+TEST_F(InjectedDeterminismTest, TriageSharesTheRunCallGraph)
+{
+    // The triage pass walks the analyzer's call graph for its
+    // downstream-release search instead of building a second one. The
+    // run's tracer is made ambient for the whole run, triage included,
+    // so any extra build would record a second span.
+    analysis::AnalyzerOptions opts;
+    opts.triage = true;
+    opts.tracer = std::make_shared<obs::Tracer>();
+    Rid tool(opts);
+    tool.loadSpecText(kernel::dpmSpecText());
+    tool.loadSpecText(kernel::lockSpecText());
+    tool.loadSpecText(kernel::allocSpecText());
+    for (const auto &file : triage_injected_.corpus.files)
+        tool.addSource(file.text);
+    RunResult result;
+    {
+        obs::ScopedTracer scoped(opts.tracer.get());
+        result = tool.run();
+    }
+    EXPECT_GT(result.triage.extension_searches, 0u);
+    size_t builds = 0;
+    for (const auto &event : opts.tracer->sortedEvents())
+        builds += std::string(event.name) == "callgraph";
+    EXPECT_EQ(builds, 1u);
+}
+
 TEST_F(InjectedDeterminismTest, FingerprintsAreConfigInvariant)
 {
     // The provenance contract: report fingerprints are a stable identity,

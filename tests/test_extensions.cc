@@ -8,12 +8,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <sys/wait.h>
 
 #include "core/rid.h"
 #include "frontend/lower.h"
 #include "kernel/domain_specs.h"
 #include "kernel/dpm_specs.h"
+#include "kernel/inject.h"
 #include "summary/domain.h"
 
 namespace rid {
@@ -302,11 +304,14 @@ struct CliResult
     std::string output;
 };
 
+/** Run ridc with @p args; stderr goes to @p stderr_to (a shell
+ *  redirection target: "&1" merges it into the captured output). */
 CliResult
-runCli(const std::string &args)
+runCli(const std::string &args, const std::string &stderr_to = "&1")
 {
     CliResult r;
-    std::string cmd = std::string(RIDC_PATH) + " " + args + " 2>&1";
+    std::string cmd =
+        std::string(RIDC_PATH) + " " + args + " 2>" + stderr_to;
     FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
         return r;
@@ -366,6 +371,65 @@ TEST(RidcCli, DomainsFilterControlsTheScan)
     CliResult quiet = runCli("--spec " + lock + " --domains ref " + src);
     EXPECT_EQ(quiet.exit_code, 0);
     EXPECT_NE(quiet.output.find("0 report(s)"), std::string::npos);
+}
+
+std::string
+readAll(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(RidcCli, OutputIsByteIdenticalAcrossThreadsAndRepeats)
+{
+    // The injected corpus with seeded FP-inducers, dumped to files: ridc
+    // stdout, the exported summaries and the provenance journal must not
+    // depend on the thread count or differ between repeated runs.
+    auto mix = kernel::CorpusMix::cleanCalibrated(0.01);
+    mix.counts[kernel::PatternKind::FpBitmask] = 6;
+    mix.counts[kernel::PatternKind::FpListOp] = 5;
+    auto injected = kernel::generateInjectedCorpus(
+        mix, kernel::InjectionPlan::calibrated(mix));
+    std::string args = "--builtin-dpm --spec " +
+                       writeTemp("lock.spec", kernel::lockSpecText()) +
+                       " --spec " +
+                       writeTemp("alloc.spec", kernel::allocSpecText());
+    for (size_t i = 0; i < injected.corpus.files.size(); i++)
+        args += " " + writeTemp("unit" + std::to_string(i) + ".c",
+                                injected.corpus.files[i].text);
+
+    struct Outputs
+    {
+        std::string stdout_text, exported, journal;
+    };
+    auto scan = [&](int threads, int repeat) {
+        std::string tag =
+            "t" + std::to_string(threads) + "r" + std::to_string(repeat);
+        std::string exported = writeTemp(tag + ".export", "");
+        std::string journal = writeTemp(tag + ".jsonl", "");
+        CliResult r = runCli("--threads " + std::to_string(threads) +
+                                 " --export " + exported +
+                                 " --provenance " + journal + " " + args,
+                             "/dev/null");
+        EXPECT_EQ(r.exit_code, 1) << tag;  // the injected bugs are found
+        return Outputs{r.output, readAll(exported), readAll(journal)};
+    };
+    Outputs base = scan(1, 0);
+    EXPECT_FALSE(base.stdout_text.empty());
+    EXPECT_FALSE(base.exported.empty());
+    EXPECT_FALSE(base.journal.empty());
+    for (auto [threads, repeat] :
+         {std::pair{1, 1}, std::pair{4, 0}, std::pair{4, 1}}) {
+        Outputs o = scan(threads, repeat);
+        EXPECT_EQ(o.stdout_text, base.stdout_text)
+            << "threads " << threads << " repeat " << repeat;
+        EXPECT_EQ(o.exported, base.exported)
+            << "threads " << threads << " repeat " << repeat;
+        EXPECT_EQ(o.journal, base.journal)
+            << "threads " << threads << " repeat " << repeat;
+    }
 }
 
 } // anonymous namespace

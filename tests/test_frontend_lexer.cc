@@ -5,10 +5,27 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "frontend/lexer.h"
 
 namespace rid::frontend {
 namespace {
+
+// Tokens view their source, so tokenizing a temporary must not compile:
+// only an lvalue string that outlives the tokens is accepted.
+template <typename S, typename = void>
+struct CanTokenize : std::false_type
+{};
+template <typename S>
+struct CanTokenize<S, std::void_t<decltype(tokenize(std::declval<S>()))>>
+    : std::true_type
+{};
+static_assert(CanTokenize<const std::string &>::value);
+static_assert(CanTokenize<std::string &>::value);
+static_assert(!CanTokenize<std::string &&>::value);
+static_assert(!CanTokenize<const char *>::value);
 
 std::vector<Tok>
 kinds(const std::string &src)
@@ -26,7 +43,8 @@ TEST(Lexer, EmptyInputYieldsEnd)
 
 TEST(Lexer, IdentifiersAndKeywords)
 {
-    auto toks = tokenize("int foo while_x struct");
+    std::string src = "int foo while_x struct";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].kind, Tok::KwInt);
     EXPECT_EQ(toks[1].kind, Tok::Ident);
     EXPECT_EQ(toks[1].text, "foo");
@@ -36,7 +54,8 @@ TEST(Lexer, IdentifiersAndKeywords)
 
 TEST(Lexer, DecimalAndHexNumbers)
 {
-    auto toks = tokenize("42 0x54 0XFF");
+    std::string src = "42 0x54 0XFF";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].number, 42);
     EXPECT_EQ(toks[1].number, 0x54);
     EXPECT_EQ(toks[2].number, 0xFF);
@@ -44,7 +63,8 @@ TEST(Lexer, DecimalAndHexNumbers)
 
 TEST(Lexer, IntegerSuffixesStripped)
 {
-    auto toks = tokenize("10u 10UL 10ull 0x10L");
+    std::string src = "10u 10UL 10ull 0x10L";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].number, 10);
     EXPECT_EQ(toks[1].number, 10);
     EXPECT_EQ(toks[2].number, 10);
@@ -53,14 +73,16 @@ TEST(Lexer, IntegerSuffixesStripped)
 
 TEST(Lexer, CharConstantsBecomeNumbers)
 {
-    auto toks = tokenize("'a'");
+    std::string src = "'a'";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].kind, Tok::Number);
     EXPECT_EQ(toks[0].number, 'a');
 }
 
 TEST(Lexer, StringsWithEscapes)
 {
-    auto toks = tokenize(R"("hello \"world\"")");
+    std::string src = R"("hello \"world\"")";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].kind, Tok::String);
 }
 
@@ -119,7 +141,8 @@ TEST(Lexer, Ellipsis)
 
 TEST(Lexer, LineNumbersTracked)
 {
-    auto toks = tokenize("a\nb\n\nc");
+    std::string src = "a\nb\n\nc";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].line, 1);
     EXPECT_EQ(toks[1].line, 2);
     EXPECT_EQ(toks[2].line, 4);
@@ -127,33 +150,72 @@ TEST(Lexer, LineNumbersTracked)
 
 TEST(Lexer, LineNumbersAcrossBlockComments)
 {
-    auto toks = tokenize("/* a\nb\n*/ x");
+    std::string src = "/* a\nb\n*/ x";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].line, 3);
 }
 
 TEST(Lexer, UnterminatedCommentThrows)
 {
-    EXPECT_THROW(tokenize("/* never closed"), ParseError);
+    std::string src = "/* never closed";
+    EXPECT_THROW(tokenize(src), ParseError);
 }
 
 TEST(Lexer, UnterminatedStringThrows)
 {
-    EXPECT_THROW(tokenize("\"never closed"), ParseError);
+    std::string src = "\"never closed";
+    EXPECT_THROW(tokenize(src), ParseError);
 }
 
 TEST(Lexer, StrayCharacterThrows)
 {
-    EXPECT_THROW(tokenize("a $ b"), ParseError);
+    std::string stray = "a $ b";
+    EXPECT_THROW(tokenize(stray), ParseError);
+    std::string stray_line3 = "\n\n@";
     try {
-        tokenize("\n\n@");
+        tokenize(stray_line3);
     } catch (const ParseError &e) {
         EXPECT_EQ(e.line(), 3);
     }
 }
 
+TEST(Lexer, TokenTextsViewTheSourceBuffer)
+{
+    // Token texts are slices of the caller's buffer, not copies: every
+    // spelled token must point inside it and spell what the source does.
+    std::string src = "int f(void) { x = 0x10 + 'c'; s = \"a\\\"b\"; "
+                      "return y_1; }\n#define Z 1\n/* c */ g(7UL);";
+    const char *begin = src.data();
+    const char *end = begin + src.size();
+    size_t spelled = 0;
+    for (const auto &tok : tokenize(src)) {
+        if (tok.kind != Tok::Ident && tok.kind != Tok::Number &&
+            tok.kind != Tok::String)
+            continue;
+        spelled++;
+        ASSERT_FALSE(tok.text.empty()) << tokName(tok.kind);
+        EXPECT_GE(tok.text.data(), begin) << tok.text;
+        EXPECT_LE(tok.text.data() + tok.text.size(), end) << tok.text;
+        EXPECT_EQ(src.compare(tok.text.data() - begin, tok.text.size(),
+                              tok.text),
+                  0);
+    }
+    // f x 0x10 c s a\"b y_1 g 7UL
+    EXPECT_EQ(spelled, 9u);
+    auto toks = tokenize(src);
+    EXPECT_EQ(toks[8].text, "0x10");
+    EXPECT_EQ(toks[8].number, 16);
+}
+
+TEST(Lexer, TokenIsCompact)
+{
+    EXPECT_LE(sizeof(Token), 32u);
+}
+
 TEST(Lexer, NullKeyword)
 {
-    auto toks = tokenize("NULL null");
+    std::string src = "NULL null";
+    auto toks = tokenize(src);
     EXPECT_EQ(toks[0].kind, Tok::KwNull);
     EXPECT_EQ(toks[1].kind, Tok::Ident);  // lowercase is an identifier
 }

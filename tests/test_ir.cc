@@ -230,6 +230,114 @@ TEST(Module, StablePointersAcrossAdds)
     EXPECT_EQ(m.find("f"), f);
 }
 
+/** A defined function returning @p v. */
+Function
+defined(const std::string &name, int64_t v)
+{
+    IrBuilder b(name, {}, true);
+    b.ret(Value::intConst(v));
+    return b.take();
+}
+
+std::vector<std::string>
+order(const Module &m)
+{
+    std::vector<std::string> out;
+    for (const auto &fn : m.functions())
+        out.push_back(fn->name());
+    return out;
+}
+
+TEST(Module, AbsorbedDefinitionTakesTheDeclarationsSlot)
+{
+    // File A declares f between its own definitions; file B defines f.
+    // The merged module keeps f where A declared it.
+    Module merged;
+    Module a;
+    a.addFunction(defined("a0", 0));
+    a.addFunction(Function("f", {}, true));
+    a.addFunction(defined("a1", 1));
+    merged.absorb(std::move(a));
+
+    Module b;
+    b.addFunction(defined("b0", 2));
+    Function *f_in_b = b.addFunction(defined("f", 7));
+    merged.absorb(std::move(b));
+
+    EXPECT_EQ(order(merged),
+              (std::vector<std::string>{"a0", "f", "a1", "b0"}));
+    ASSERT_NE(merged.find("f"), nullptr);
+    EXPECT_FALSE(merged.find("f")->isDeclaration());
+    EXPECT_EQ(merged.find("f")->block(0).instrs.back().a.intValue(), 7);
+    // The definition was adopted, not copied.
+    EXPECT_EQ(merged.find("f"), f_in_b);
+    EXPECT_EQ(merged.functions()[1].get(), f_in_b);
+}
+
+TEST(Module, AbsorbKeepsTheFirstDuplicateDefinition)
+{
+    Module merged;
+    Module a;
+    Function *first = a.addFunction(defined("f", 1));
+    merged.absorb(std::move(a));
+    Module b;
+    b.addFunction(defined("f", 2));
+    b.addFunction(Function("f2", {}, true));
+    merged.absorb(std::move(b));
+
+    EXPECT_EQ(order(merged), (std::vector<std::string>{"f", "f2"}));
+    EXPECT_EQ(merged.find("f"), first);
+    EXPECT_EQ(merged.find("f")->block(0).instrs.back().a.intValue(), 1);
+    // A later declaration never displaces a definition either.
+    Module c;
+    c.addFunction(Function("f", {}, true));
+    merged.absorb(std::move(c));
+    EXPECT_EQ(merged.find("f"), first);
+    EXPECT_EQ(merged.size(), 2u);
+}
+
+TEST(Module, AbsorbKeepsPerFilePointersAndFindsLiveFunctions)
+{
+    // Pointers taken from per-file modules stay valid in the merged
+    // module, and find() returns exactly those objects, for every name,
+    // across many absorbs (each rehash of the index included).
+    Module merged;
+    std::vector<const Function *> taken;
+    for (int file = 0; file < 50; file++) {
+        Module unit;
+        for (int k = 0; k < 8; k++) {
+            std::string name =
+                "fn_" + std::to_string(file) + "_" + std::to_string(k);
+            taken.push_back(unit.addFunction(defined(name, k)));
+        }
+        merged.absorb(std::move(unit));
+    }
+    ASSERT_EQ(merged.size(), taken.size());
+    for (size_t i = 0; i < taken.size(); i++) {
+        EXPECT_EQ(merged.functions()[i].get(), taken[i]);
+        EXPECT_EQ(merged.find(taken[i]->name()), taken[i]);
+    }
+    EXPECT_EQ(merged.find("fn_50_0"), nullptr);
+}
+
+TEST(Module, ReplacedDeclarationIsFoundByItsNewOwnersName)
+{
+    // The index key views the owning function's name; after a
+    // definition replaces a declaration (and the declaration is freed),
+    // lookups by name, including through a moved module, still work.
+    Module m;
+    m.addFunction(Function("a_rather_long_function_name_beyond_sso", {},
+                           true));
+    Function *def =
+        m.addFunction(defined("a_rather_long_function_name_beyond_sso", 3));
+    for (int i = 0; i < 64; i++)
+        m.addFunction(Function("pad" + std::to_string(i), {}, false));
+    Module moved = std::move(m);
+    EXPECT_EQ(moved.find("a_rather_long_function_name_beyond_sso"), def);
+    EXPECT_EQ(moved.find(std::string("pad63")),
+              moved.functions().back().get());
+}
+
 TEST(Function, PrinterShowsBlocksAndLabels)
 {
     IrBuilder b("f", {"a"}, true);
