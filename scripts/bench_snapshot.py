@@ -24,10 +24,6 @@ FIELDS = [
     "cache_hit_rate",
     "wall_seconds_off",
     "wall_seconds_on",
-    "wall_seconds_prefix_off",
-    "wall_seconds_prefix_on",
-    "redundant_block_ratio",
-    "symexec_reduction",
     "symexec_seconds_journal_off",
     "symexec_seconds_journal_on",
     "provenance_overhead",
@@ -79,7 +75,7 @@ def main() -> int:
     for field in FIELDS:
         if field in record:
             snap[field] = record[field]
-    for engine in ("cache_off", "prefix_on"):
+    for engine in ("cache_off", "cache_on"):
         if engine in record and "reports" in record[engine]:
             snap[f"reports_{engine}"] = record[engine]["reports"]
 

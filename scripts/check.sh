@@ -7,25 +7,27 @@
 # compares threads {1,4} x query-cache {on,off} x tracing {off,on});
 # running the binary twice catches run-to-run nondeterminism that a single
 # in-process comparison cannot (e.g. ASLR-dependent container ordering).
-# The determinism suite also carries the engine differential: the
-# prefix-sharing tree executor vs the enumerate-then-replay reference,
-# byte-identical over the corpus, under budgets and under faults.
+# The determinism suite also carries the engine oracle: every analyzed
+# function re-executed under the tree executor and under the
+# enumerate-then-replay reference executor, entry lists equal, plus
+# budget and fault outcomes pinned by recorded digests.
 # It then runs the robustness chaos suite (fault injection + budgets),
 # once normally and once under ASan+UBSan (the `asan` preset's build
 # tree, building only the chaos test), runs the frontend's byte-level
 # mutation fuzz and the lexer suite under the same sanitizers (tokens
-# view the source buffer), runs the engine differential and
-# the tree-executor unit suite under the same sanitizers (the COW store
-# and persistent condition chain are exactly the kind of shared-
-# ownership code ASan exists for), runs the summary-compaction unit
-# suite plus the compaction/interning determinism differentials under
-# ASan (the sharded instantiation cache is shared mutable state),
-# refreshes BENCH_performance.json
-# at the repo root (the microbenchmarks themselves are skipped via a
-# non-matching filter — only the trajectory-record workload runs,
-# including the prefix_off/prefix_on engine comparison and the
-# provenance journal off/on overhead pair plus the durable-store
-# cold/warm resume differential), exercises the tracing path end to end
+# view the source buffer), runs the mutation fuzz of spec text, WAL
+# segments and provenance journals and the store suite under the same
+# sanitizers, runs the engine oracle, the pinned outcomes and the
+# tree-executor unit suite under the same sanitizers (the COW store and
+# persistent condition chain are exactly the kind of shared-ownership
+# code ASan exists for), runs the summary-compaction unit suite plus the
+# compaction/interning determinism differentials under ASan (the
+# sharded instantiation cache is shared mutable state), refreshes
+# BENCH_performance.json at the repo root (the microbenchmarks
+# themselves are skipped via a non-matching filter — only the
+# trajectory-record workload runs, including the provenance journal
+# off/on overhead pair plus the durable-store cold/warm resume
+# differential), exercises the tracing path end to end
 # on a small DPM corpus, round-trips the provenance journal through
 # `ridc explain` and `ridc diff-runs` (including a torn-tail journal),
 # SIGKILLs a store-backed `ridc` scan mid-run to prove `--resume`
@@ -38,6 +40,21 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# run_filtered BINARY FILTER: run the gtest cases FILTER selects, and
+# fail when it selects none. gtest exits 0 on an empty selection, so a
+# renamed test would otherwise drop out of a sanitizer step silently.
+run_filtered() {
+    local count
+    count=$("$1" --gtest_list_tests --gtest_filter="$2" | grep -c '^  ' \
+        || true)
+    if [ "$count" -eq 0 ]; then
+        echo "check.sh: --gtest_filter='$2' selects no test in $1" >&2
+        return 1
+    fi
+    echo "$1: $count test(s) match '$2'"
+    "$1" --gtest_filter="$2"
+}
 
 cmake -B build -S .
 cmake --build build -j
@@ -75,12 +92,19 @@ echo "== sanitizer smoke (ASan+UBSan durable store) =="
 cmake --build build-asan -j --target test_store
 ./build-asan/tests/test_store
 
-echo "== sanitizer smoke (ASan+UBSan prefix-sharing engine) =="
+# Seeded flips, truncations and splices of spec text, WAL segments (some
+# re-framed under a valid CRC) and provenance journals: decoders that
+# trust a length or a count show up here.
+echo "== sanitizer smoke (ASan+UBSan input mutation fuzz) =="
+cmake --build build-asan -j --target test_input_fuzz
+./build-asan/tests/test_input_fuzz
+
+echo "== sanitizer smoke (ASan+UBSan tree executor + engine oracle) =="
 cmake --build build-asan -j --target test_analysis_tree_exec \
     --target test_analyzer_determinism
 ./build-asan/tests/test_analysis_tree_exec
-./build-asan/tests/test_analyzer_determinism \
-    --gtest_filter='AnalyzerDeterminismTest.PrefixSharing*'
+run_filtered ./build-asan/tests/test_analyzer_determinism \
+    '*TreeMatchesReferenceExecutor:*OutcomesArePinned'
 
 # The sharded instantiation cache is cross-thread shared mutable state
 # (per-shard mutexes guarding LRU lists), and compaction runs solver
@@ -88,8 +112,8 @@ cmake --build build-asan -j --target test_analysis_tree_exec \
 echo "== sanitizer smoke (ASan+UBSan compaction + interning) =="
 cmake --build build-asan -j --target test_summary_compact
 ./build-asan/tests/test_summary_compact
-./build-asan/tests/test_analyzer_determinism \
-    --gtest_filter='*Compaction*:*Interning*'
+run_filtered ./build-asan/tests/test_analyzer_determinism \
+    '*Compaction*:*Interning*'
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "analysis/callgraph.h"
-#include "analysis/paths.h"
 #include "obs/failpoint.h"
 #include "summary/compact.h"
 
@@ -345,148 +344,40 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         return {};
     };
 
-    std::vector<summary::SummaryEntry> path_entries;
-    bool truncated = false;
-    bool deadline_hit = false;
-    bool path_cap_hit = false;
-    size_t num_paths = 0;
-    uint64_t blocks_executed = 0;
-    uint64_t state_forks = 0;
-    uint64_t subtrees_pruned = 0;
-    uint64_t entries_instantiated = 0;
-    double symexec_seconds = 0;
-
-    if (opts_.prefix_sharing) {
-        // Prefix-sharing engine: one depth-first CFG-tree walk replaces
-        // enumerate-then-replay; each tree edge executes once and
-        // infeasible subtrees are skipped as soon as the path condition
-        // becomes unsatisfiable. Output-identical to the replay engine
-        // below (see DESIGN.md, "Prefix-sharing symbolic execution").
-        auto symexec_t0 = std::chrono::steady_clock::now();
-        TreeExecResult tree;
-        {
-            obs::Span symexec_span("phase", "symexec");
-            symexec_span.arg("fn", fn.name());
-            TreeExecOptions tree_opts;
-            tree_opts.max_subcases = opts_.max_subcases;
-            tree_opts.prune_infeasible = opts_.prune_infeasible;
-            tree_opts.budget = budget;
-            tree_opts.max_paths = opts_.max_paths;
-            tree_opts.max_visits = 2;
-            tree_opts.path_threads = opts_.path_threads;
-            tree_opts.tracer = tracer_.get();
-            tree_opts.inst_cache = inst_cache_.get();
-            if (opts_.path_threads > 1)
-                tree_opts.make_solver = [this, budget]() {
-                    return makeSolver(budget);
-                };
-            tree = executeFunctionTree(fn, db_, solver, tree_opts);
-        }
-        symexec_seconds = secondsSince(symexec_t0);
-        fn_solver_stats += tree.worker_solver_stats;
-        truncated = tree.truncated;
-        deadline_hit = tree.deadline_hit;
-        path_cap_hit = tree.path_cap_hit;
-        num_paths = tree.completed.size();
-        blocks_executed = tree.blocks_executed;
-        state_forks = tree.forks;
-        subtrees_pruned = tree.subtrees_pruned;
-        entries_instantiated = tree.entries_instantiated;
-        for (auto &outcome : tree.completed)
-            for (auto &e : outcome.entries)
-                path_entries.push_back(std::move(e));
-        if (deadline_hit || timedOut())
-            return degradeToTimeout();
-    } else {
-
-    auto paths = enumeratePaths(fn, opts_.max_paths, 2, budget);
-    if (paths.deadline_hit || timedOut())
-        return degradeToTimeout();
-
-    ExecOptions exec_opts;
-    exec_opts.max_subcases = opts_.max_subcases;
-    exec_opts.prune_infeasible = opts_.prune_infeasible;
-    exec_opts.budget = budget;
-    exec_opts.inst_cache = inst_cache_.get();
-
-    truncated = paths.truncated;
-    num_paths = paths.paths.size();
+    // One depth-first CFG-tree walk executes every path: each tree edge
+    // runs once and infeasible subtrees are skipped as soon as the path
+    // condition becomes unsatisfiable (DESIGN.md, "Prefix-sharing
+    // symbolic execution").
     auto symexec_t0 = std::chrono::steady_clock::now();
+    TreeExecResult tree;
     {
         obs::Span symexec_span("phase", "symexec");
         symexec_span.arg("fn", fn.name());
-        if (opts_.path_threads > 1 && paths.paths.size() > 1) {
-            // Section 7 future work: paths are independent, so their
-            // summaries can be computed in parallel. Results are
-            // collected per path index to keep entry order (and
-            // therefore the whole analysis) deterministic.
-            std::vector<ExecResult> results(paths.paths.size());
-            std::atomic<size_t> cursor{0};
-            std::mutex merge_mutex;
-            std::exception_ptr worker_fault;
-            int workers =
-                std::min<int>(opts_.path_threads,
-                              static_cast<int>(paths.paths.size()));
-            std::vector<std::future<void>> futures;
-            for (int w = 0; w < workers; w++) {
-                futures.push_back(std::async(std::launch::async, [&]() {
-                    obs::ScopedTracer scoped(tracer_.get());
-                    // Thread-local failpoint context does not inherit
-                    // across threads; re-establish it per worker.
-                    obs::FailpointScope worker_scope(fn.name());
-                    smt::Solver local_solver = makeSolver(budget);
-                    try {
-                        while (true) {
-                            size_t i = cursor.fetch_add(1);
-                            if (i >= paths.paths.size())
-                                break;
-                            results[i] =
-                                executePath(fn, paths.paths[i],
-                                            static_cast<int>(i), db_,
-                                            local_solver, exec_opts);
-                        }
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lock(merge_mutex);
-                        if (!worker_fault)
-                            worker_fault = std::current_exception();
-                    }
-                    std::lock_guard<std::mutex> lock(merge_mutex);
-                    fn_solver_stats += local_solver.stats();
-                }));
-            }
-            for (auto &f : futures)
-                f.get();
-            if (worker_fault)
-                std::rethrow_exception(worker_fault);
-            for (auto &exec : results) {
-                truncated = truncated || exec.truncated;
-                deadline_hit = deadline_hit || exec.deadline_hit;
-                blocks_executed += exec.blocks_executed;
-                entries_instantiated += exec.entries_instantiated;
-                for (auto &e : exec.entries)
-                    path_entries.push_back(std::move(e));
-            }
-        } else {
-            for (size_t i = 0; i < paths.paths.size(); i++) {
-                auto exec = executePath(fn, paths.paths[i],
-                                        static_cast<int>(i), db_, solver,
-                                        exec_opts);
-                truncated = truncated || exec.truncated;
-                deadline_hit = deadline_hit || exec.deadline_hit;
-                blocks_executed += exec.blocks_executed;
-                entries_instantiated += exec.entries_instantiated;
-                for (auto &e : exec.entries)
-                    path_entries.push_back(std::move(e));
-                if (exec.deadline_hit)
-                    break;
-            }
-        }
+        TreeExecOptions tree_opts;
+        tree_opts.max_subcases = opts_.max_subcases;
+        tree_opts.prune_infeasible = opts_.prune_infeasible;
+        tree_opts.budget = budget;
+        tree_opts.max_paths = opts_.max_paths;
+        tree_opts.max_visits = 2;
+        tree_opts.path_threads = opts_.path_threads;
+        tree_opts.tracer = tracer_.get();
+        tree_opts.inst_cache = inst_cache_.get();
+        if (opts_.path_threads > 1)
+            tree_opts.make_solver = [this, budget]() {
+                return makeSolver(budget);
+            };
+        tree = executeFunctionTree(fn, db_, solver, tree_opts);
     }
-    symexec_seconds = secondsSince(symexec_t0);
-    if (deadline_hit || timedOut())
+    double symexec_seconds = secondsSince(symexec_t0);
+    fn_solver_stats += tree.worker_solver_stats;
+    if (tree.deadline_hit || timedOut())
         return degradeToTimeout();
-
-    } // engine dispatch
+    bool truncated = tree.truncated;
+    size_t num_paths = tree.completed.size();
+    std::vector<summary::SummaryEntry> path_entries;
+    for (auto &outcome : tree.completed)
+        for (auto &e : outcome.entries)
+            path_entries.push_back(std::move(e));
 
     IppOptions ipp_opts;
     ipp_opts.drop_seed = opts_.drop_seed;
@@ -517,7 +408,7 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
     if (!ipp.reports.empty()) {
         // Stamp stable report identities (after summary_check so the
         // escape-rule reports get theirs too). Every fingerprint input is
-        // byte-stable across engines/threads/cache settings, so the
+        // byte-stable across thread and cache settings, so the
         // stamps are as deterministic as the reports themselves.
         uint64_t fn_fp = fn.fingerprint();
         for (auto &r : ipp.reports) {
@@ -542,9 +433,9 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
     std::string trunc_reason;
     if (truncated) {
         trunc_reason = "path/subcase cap truncated analysis";
-        if (path_cap_hit && subtrees_pruned > 0)
+        if (tree.path_cap_hit && tree.subtrees_pruned > 0)
             trunc_reason += " after pruning " +
-                            std::to_string(subtrees_pruned) +
+                            std::to_string(tree.subtrees_pruned) +
                             " infeasible subtrees";
     }
     // Bottom-up compaction, after every report-generating phase: merging
@@ -571,10 +462,10 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
     ins_.functions_analyzed->inc();
     ins_.paths_enumerated->inc(num_paths);
     ins_.entries_computed->inc(num_entries);
-    ins_.blocks_executed->inc(blocks_executed);
-    ins_.state_forks->inc(state_forks);
-    ins_.subtrees_pruned->inc(subtrees_pruned);
-    ins_.entries_instantiated->inc(entries_instantiated);
+    ins_.blocks_executed->inc(tree.blocks_executed);
+    ins_.state_forks->inc(tree.forks);
+    ins_.subtrees_pruned->inc(tree.subtrees_pruned);
+    ins_.entries_instantiated->inc(tree.entries_instantiated);
     ins_.summary_entries_compacted->inc(compaction.merged +
                                         compaction.dropped);
     if (truncated) {
@@ -596,10 +487,10 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         cost.ipp_seconds = ipp_seconds;
         cost.solver_seconds = fn_solver_stats.solveSeconds();
         cost.solver_queries = fn_solver_stats.queries;
-        cost.blocks_executed = blocks_executed;
-        cost.forks = state_forks;
-        cost.subtrees_pruned = subtrees_pruned;
-        cost.entries_instantiated = entries_instantiated;
+        cost.blocks_executed = tree.blocks_executed;
+        cost.forks = tree.forks;
+        cost.subtrees_pruned = tree.subtrees_pruned;
+        cost.entries_instantiated = tree.entries_instantiated;
         std::lock_guard<std::mutex> lock(stats_mutex_);
         function_costs_.push_back(std::move(cost));
     }

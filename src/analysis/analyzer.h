@@ -3,9 +3,10 @@
  * Whole-module analysis driver.
  *
  * Runs the full RID pipeline on an IR module: call-graph construction,
- * function classification, and a bottom-up traversal that enumerates
- * paths, summarizes them symbolically, checks inconsistent path pairs and
- * stores the resulting function summaries. Category-2 functions are only
+ * function classification, and a bottom-up traversal that summarizes
+ * each function's paths in one prefix-sharing symbolic walk
+ * (executeFunctionTree), checks inconsistent path pairs and stores the
+ * resulting function summaries. Category-2 functions are only
  * analyzed when simple enough (conditional-branch budget); category-3
  * functions are skipped entirely. SCC levels may be processed in parallel
  * for large corpora.
@@ -179,12 +180,6 @@ struct AnalyzerOptions
     int max_cat2_branches = 3;
     /** Prune infeasible states during symbolic execution. */
     bool prune_infeasible = true;
-    /** Execute each function as one prefix-sharing CFG-tree walk
-     *  (analysis/symexec.h, executeFunctionTree) instead of enumerating
-     *  paths and replaying each from the entry block. Output-identical
-     *  to the replay pipeline — kept as a toggle for differential
-     *  testing and as the reference semantics. */
-    bool prefix_sharing = true;
     /** Classify first and skip category-3 functions (Section 5.2).
      *  Disabled: every defined function is fully analyzed. */
     bool classify = true;
@@ -192,7 +187,8 @@ struct AnalyzerOptions
     int threads = 1;
     /** Worker threads for path-level parallelism inside one function
      *  (the Section 7 future-work item: "symbolically executing
-     *  multiple paths in parallel"). 1 = sequential. */
+     *  multiple paths in parallel"): independent CFG subtrees of the
+     *  tree walk run on workers. 1 = sequential. */
     int path_threads = 1;
     /** Seed for the inconsistent-entry drop choice (only consulted when
      *  deterministic_drop is off). */
@@ -309,14 +305,13 @@ struct AnalyzerStats
     size_t functions_defaulted = 0;
     size_t paths_enumerated = 0;
     size_t entries_computed = 0;
-    /** Basic blocks stepped during symbolic execution. Under prefix
-     *  sharing each CFG-tree edge counts once; under replay a shared
-     *  prefix counts once per path replaying it. */
+    /** Basic blocks stepped during symbolic execution; each CFG-tree
+     *  edge counts once, however many paths share it. */
     size_t blocks_executed = 0;
-    /** State-set forks at conditional branches (prefix sharing only). */
+    /** State-set forks at conditional branches. */
     size_t state_forks = 0;
     /** CFG subtrees skipped because their path condition was
-     *  unsatisfiable (prefix sharing with pruning enabled only). */
+     *  unsatisfiable (pruning enabled only). */
     size_t subtrees_pruned = 0;
     size_t functions_truncated = 0;
     /** Functions degraded to the default summary by budget expiry. */

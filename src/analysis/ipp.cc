@@ -40,7 +40,7 @@ uint64_t
 BugReport::computeFingerprint(uint64_t function_fingerprint) const
 {
     // Normalized witness shape: every ingredient is byte-stable across
-    // engines/threads/cache settings (pinned by the determinism suite),
+    // threads/cache settings (pinned by the determinism suite),
     // so the fingerprint is too. Solver evidence and callee chains stay
     // out — they carry run-configuration detail (cache hits).
     using smt::fpBytes;

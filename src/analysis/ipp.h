@@ -85,8 +85,8 @@ struct BugReport
 
     /** Stable 64-bit report identity (0 until stamped by the analyzer):
      *  function body fingerprint x domain x counter x kind x witness
-     *  shape. Byte-stable across engines, thread counts and cache
-     *  settings; the cross-run dedup key of `ridc diff-runs`. */
+     *  shape. Byte-stable across thread counts and cache settings; the
+     *  cross-run dedup key of `ridc diff-runs`. */
     uint64_t fingerprint = 0;
     /** ir::Function::fingerprint() of the reported function. */
     uint64_t function_fp = 0;
@@ -112,7 +112,7 @@ struct BugReport
 
     /** Derive the stable report fingerprint from the witness shape.
      *  Deterministic function of fields the determinism suite already
-     *  pins byte-identical across engines/threads/cache configs. */
+     *  pins byte-identical across threads/cache configs. */
     uint64_t computeFingerprint(uint64_t function_fingerprint) const;
 };
 

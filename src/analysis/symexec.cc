@@ -59,7 +59,7 @@ struct State
 /**
  * Instantiate one callee summary entry for a call site (Algorithm 1):
  * formal→actual substitution, opaque-return decision, result binding
- * and local-store filtering. Both engines funnel every entry through
+ * and local-store filtering. Both executors funnel every entry through
  * here, so the instantiation is computed identically whether or not an
  * InstCache is attached — a hit returns the exact value a fresh
  * computation would, keyed by stable fingerprints and verified
@@ -128,8 +128,8 @@ vmapFind(const CowMap<std::string, Expr> &vmap, const std::string &name)
     return vmap.lookup(name);
 }
 
-/** Evaluate an operand under a state's vmap (plain map for the replay
- *  engine, copy-on-write map for the prefix-sharing engine). */
+/** Evaluate an operand under a state's vmap (plain map for the
+ *  reference executor, copy-on-write map for the tree executor). */
 template <class VMap>
 Expr
 valueOf(const ir::Value &v, const ir::Function &fn, const VMap &vmap)
@@ -303,7 +303,7 @@ projectEntryLocals(SummaryEntry &entry)
 /**
  * Finish one state that reached a Return: append the return-value
  * constraint to @p parts, project locals out and stamp provenance.
- * Shared by both engines so the emitted entries are identical.
+ * Shared by both executors so the emitted entries are identical.
  */
 SummaryEntry
 finishReturnState(const Expr &retval, std::vector<Formula> parts,
@@ -363,11 +363,6 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
             const summary::SummaryDb &db, smt::Solver &solver,
             const ExecOptions &opts)
 {
-    obs::failpoint("analysis.symexec.path");
-    obs::Span span("phase", "symexec-path");
-    span.arg("fn", fn.name());
-    span.arg("path", std::to_string(path_index));
-
     ExecResult result;
 
     State initial;
@@ -377,14 +372,13 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
     std::vector<State> states{std::move(initial)};
 
     auto pruneState = [&](const State &s) {
-        return opts.prune_infeasible && !solver.isSat(s.consFormula());
+        return !solver.isSat(s.consFormula());
     };
 
+    // The reference executor attaches no instantiation cache, so every
+    // call entry is instantiated from scratch; the count is not kept.
+    uint64_t instantiated = 0;
     for (size_t step = 0; step < path.blocks.size(); step++) {
-        if (opts.budget && opts.budget->expired()) {
-            result.deadline_hit = true;
-            return result;
-        }
         ir::BlockId b = path.blocks[step];
         const auto &bb = fn.block(b);
         result.blocks_executed++;
@@ -499,8 +493,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                         summary::CallInstantiation inst =
                             instantiateCallEntry(
                                 *callee, ei, actuals, temp_name,
-                                !in.dst.empty(), opts.inst_cache,
-                                result.entries_instantiated);
+                                !in.dst.empty(), nullptr, instantiated);
 
                         State forked = s;
                         forked.callees.push_back(in.callee);
@@ -579,8 +572,8 @@ struct TreeState
  * enumerator would unfold (same loop-unroll bound, same assert-fail
  * skipping, same child order), executing every tree edge exactly once
  * and forking the state set at conditional branches. Completed paths
- * surface in enumeration order with the exact entries replay would
- * produce, so the two engines are output-identical; see DESIGN.md.
+ * surface in enumeration order with the exact entries executePath would
+ * produce for each; see DESIGN.md, "Equivalence".
  */
 class TreeExecutor
 {
@@ -758,7 +751,7 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
             // order matches the enumerator's successor order, and the
             // condition literal replaces any literal this instruction
             // asserted on an earlier (unrolled) execution, exactly as
-            // replay does with its tagged part vector (Figure 6).
+            // executePath does with its tagged part vector (Figure 6).
             std::vector<ir::BlockId> sides;
             for (ir::BlockId sb : {in.target, in.target_else})
                 if (enterable(ctx, sb))
@@ -784,7 +777,7 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
                 }
                 if (kept.empty()) {
                     // Infeasible side: the whole subtree below it is
-                    // skipped. Replay enumerates and re-executes every
+                    // skipped. The reference executor re-executes every
                     // path through it just to watch each die here.
                     ctx.res->subtrees_pruned++;
                     continue;
@@ -853,8 +846,7 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
             break;
           }
           case ir::Opcode::Return: {
-            // One feasible path completed (replay fires this site once
-            // per executed path).
+            // One feasible path completed.
             obs::failpoint("analysis.symexec.path");
             for (auto &s : states) {
                 Expr retval = valueOf(in.a, fn_, s.vmap);

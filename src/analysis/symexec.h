@@ -36,17 +36,6 @@ struct ExecOptions
     /** Cap on summary entries produced from a single path ("subcases" in
      *  the paper's configuration; default 10 — Section 6.1). */
     int max_subcases = 10;
-    /** Discard states whose constraint is unsatisfiable as soon as the
-     *  branch/entry constraint is added. */
-    bool prune_infeasible = true;
-    /** Optional cooperative budget checked once per executed block;
-     *  expiry stops execution and sets ExecResult::deadline_hit. Not
-     *  owned; must outlive the call. */
-    const obs::Budget *budget = nullptr;
-    /** Optional shared callee-instantiation cache (summary/inst_cache.h);
-     *  null instantiates every call entry from scratch. Semantically
-     *  invisible either way. Not owned; must outlive the call. */
-    summary::InstCache *inst_cache = nullptr;
 };
 
 struct ExecResult
@@ -54,21 +43,20 @@ struct ExecResult
     std::vector<summary::SummaryEntry> entries;
     /** True if max_subcases truncated the expansion. */
     bool truncated = false;
-    /** True if the budget expired mid-path. The partial entries are
-     *  timing-dependent; the caller must discard them and degrade the
-     *  function rather than merge them into its summary. */
-    bool deadline_hit = false;
-    /** Basic blocks stepped while executing this path. Under replay a
-     *  shared prefix is re-stepped once per path; the prefix-sharing
-     *  engine's counter measures the redundancy it removes. */
+    /** Basic blocks stepped while executing this path. A shared prefix
+     *  is re-stepped once per path; the tree executor's counter
+     *  measures the redundancy it removes. */
     uint64_t blocks_executed = 0;
-    /** Callee summary entries instantiated from scratch (inst-cache
-     *  misses when a cache is attached; every call entry without). */
-    uint64_t entries_instantiated = 0;
 };
 
 /**
  * Execute one path of @p fn symbolically and produce its summary entries.
+ * States whose constraint becomes unsatisfiable are dropped.
+ *
+ * This is the reference executor: the analyzer never calls it.
+ * enumeratePaths + executePath per path is the plain statement of the
+ * path-summary semantics that the tests hold executeFunctionTree to
+ * (DESIGN.md, "Equivalence").
  *
  * @param fn      the function (definition)
  * @param path    the block sequence to follow
@@ -92,14 +80,17 @@ smt::Formula projectLocals(const smt::Formula &cons);
 /** Options of the prefix-sharing tree executor. */
 struct TreeExecOptions
 {
-    /** Cap on summary entries / live states per path (as ExecOptions). */
+    /** Cap on summary entries produced from a single path and on live
+     *  states per path ("subcases" in the paper's configuration;
+     *  default 10 — Section 6.1). */
     int max_subcases = 10;
     /** Prune a state as soon as its condition becomes unsatisfiable;
      *  with prefix sharing this also skips the whole CFG subtree below
      *  an infeasible branch side. */
     bool prune_infeasible = true;
-    /** Checked once per executed tree node (the replay pipeline checks
-     *  once per enumerated block and once per replayed block). */
+    /** Optional cooperative budget checked once per executed tree node;
+     *  expiry stops execution and sets TreeExecResult::deadline_hit. Not
+     *  owned; must outlive the call. */
     const obs::Budget *budget = nullptr;
     /** Cap on completed paths; with pruning enabled only feasible
      *  completed paths count against it. */
@@ -113,13 +104,15 @@ struct TreeExecOptions
     std::function<smt::Solver()> make_solver;
     /** Tracer re-established inside each worker thread; may be null. */
     obs::Tracer *tracer = nullptr;
-    /** Optional shared callee-instantiation cache; as ExecOptions. The
-     *  cache is thread-safe and shared across path workers. */
+    /** Optional shared callee-instantiation cache (summary/inst_cache.h);
+     *  null instantiates every call entry from scratch. Semantically
+     *  invisible either way. The cache is thread-safe and shared across
+     *  path workers. Not owned; must outlive the call. */
     summary::InstCache *inst_cache = nullptr;
 };
 
-/** The summary entries of one completed feasible path, in the order the
- *  replay engine would emit them. */
+/** The summary entries of one completed feasible path, in the order
+ *  executePath would emit them. */
 struct PathOutcome
 {
     std::vector<summary::SummaryEntry> entries;
@@ -145,8 +138,8 @@ struct TreeExecResult
     /** Branch sides (and mid-block state-set deaths) skipped because the
      *  path condition became unsatisfiable. */
     uint64_t subtrees_pruned = 0;
-    /** Callee summary entries instantiated from scratch (as ExecResult;
-     *  cache hits are not counted). */
+    /** Callee summary entries instantiated from scratch (inst-cache
+     *  misses when a cache is attached; every call entry without). */
     uint64_t entries_instantiated = 0;
     /** Aggregated stats of per-worker solvers (path_threads > 1); the
      *  caller's own solver accumulates sequential work as usual. */
@@ -156,10 +149,10 @@ struct TreeExecResult
 /**
  * Execute every path of @p fn in one depth-first walk of the CFG tree,
  * forking state at conditional branches instead of replaying shared
- * prefixes per path. Equivalent to enumeratePaths + executePath per
- * path: completed outcomes appear in enumeration order and concatenate
- * to the same entry list (infeasible paths contribute no entries under
- * either engine). With path_threads > 1, independent subtrees execute
+ * prefixes per path. With pruning on and below the path cap, equivalent
+ * to enumeratePaths + executePath per path: completed outcomes appear in
+ * enumeration order and concatenate to the same entry list (infeasible
+ * paths contribute no entries under either executor). With path_threads > 1, independent subtrees execute
  * on worker threads and are merged back in deterministic DFS order.
  */
 TreeExecResult executeFunctionTree(const ir::Function &fn,

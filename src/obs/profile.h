@@ -34,9 +34,9 @@ struct FunctionCost
     double solver_seconds = 0;
     uint64_t solver_queries = 0;
     /** Basic blocks stepped during symbolic execution (each CFG-tree
-     *  edge once under prefix sharing; once per path under replay). */
+     *  edge once). */
     uint64_t blocks_executed = 0;
-    /** State-set forks at conditional branches (prefix sharing). */
+    /** State-set forks at conditional branches. */
     uint64_t forks = 0;
     /** CFG subtrees skipped on an unsatisfiable path condition. */
     uint64_t subtrees_pruned = 0;

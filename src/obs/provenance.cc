@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -356,7 +358,12 @@ class JsonParser
             fail("expected number");
         JsonValue v;
         v.kind = JsonValue::Number;
-        v.number = std::stod(text_.substr(start, pos_ - start));
+        std::string digits = text_.substr(start, pos_ - start);
+        char *end = nullptr;
+        v.number = std::strtod(digits.c_str(), &end);
+        if (end != digits.c_str() + digits.size() ||
+            !std::isfinite(v.number))
+            fail("bad number");
         return v;
     }
 
@@ -374,6 +381,27 @@ require(const JsonValue &obj, const std::string &key)
     return *v;
 }
 
+/** An integral number that fits @p T; anything else (a fraction, a
+ *  value out of range, a non-number) is a malformed record. */
+template <typename T>
+T
+integerOf(const JsonValue &v, const std::string &key)
+{
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lowest = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+    if (v.kind != JsonValue::Number || v.number != std::trunc(v.number) ||
+        v.number < lowest || v.number >= limit)
+        throw std::runtime_error("provenance journal: bad integer for '" +
+                                 key + "'");
+    return static_cast<T>(v.number);
+}
+
+int
+intOf(const JsonValue &obj, const std::string &key)
+{
+    return integerOf<int>(require(obj, key), key);
+}
+
 uint64_t
 fpOf(const JsonValue &v)
 {
@@ -389,10 +417,10 @@ witnessOf(const JsonValue &v)
 {
     WitnessPath p;
     p.cons = require(v, "cons").string;
-    p.delta = static_cast<int>(require(v, "delta").number);
+    p.delta = intOf(v, "delta");
     for (const auto &line : require(v, "lines").items)
-        p.lines.push_back(static_cast<int>(line.number));
-    p.return_line = static_cast<int>(require(v, "return_line").number);
+        p.lines.push_back(integerOf<int>(line, "lines"));
+    p.return_line = intOf(v, "return_line");
     for (const auto &c : require(v, "callees").items)
         p.callees.push_back(c.string);
     return p;
@@ -413,7 +441,7 @@ recordOf(const JsonValue &v)
     r.budget = require(v, "budget").string;
     if (const JsonValue *tier = v.find("tier")) {
         r.tier = tier->string;
-        r.rank = static_cast<int>(require(v, "rank").number);
+        r.rank = intOf(v, "rank");
     }
     r.path_a = witnessOf(require(v, "path_a"));
     if (const JsonValue *pb = v.find("path_b")) {
@@ -426,7 +454,7 @@ recordOf(const JsonValue &v)
         qr.result = require(q, "result").string;
         qr.cache_hit = require(q, "cache_hit").boolean;
         qr.trivial = require(q, "trivial").boolean;
-        qr.fuel = static_cast<uint64_t>(require(q, "fuel").number);
+        qr.fuel = integerOf<uint64_t>(require(q, "fuel"), "fuel");
         r.queries.push_back(std::move(qr));
     }
     return r;

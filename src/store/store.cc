@@ -121,7 +121,7 @@ bool
 getLines(std::string_view &in, std::vector<int> &lines)
 {
     uint32_t n;
-    if (!getU32(in, n) || in.size() < 4u * n)
+    if (!getU32(in, n) || n > in.size() / 4)
         return false;
     lines.resize(n);
     for (uint32_t k = 0; k < n; k++)
@@ -142,7 +142,7 @@ bool
 getStrs(std::string_view &in, std::vector<std::string> &v)
 {
     uint32_t n;
-    if (!getU32(in, n) || in.size() < 4u * n)
+    if (!getU32(in, n) || n > in.size() / 4)
         return false;
     v.resize(n);
     for (uint32_t k = 0; k < n; k++)
@@ -200,7 +200,7 @@ decodeReport(std::string_view &in, analysis::BugReport &r)
         !getU32(in, nq))
         return false;
     if (kind > static_cast<uint8_t>(analysis::BugKind::Unbalanced) ||
-        in.size() < 19u * nq)
+        nq > in.size() / 19)
         return false;
     r.kind = static_cast<analysis::BugKind>(kind);
     r.queries.resize(nq);
@@ -220,6 +220,12 @@ decodeReport(std::string_view &in, analysis::BugReport &r)
     return getStrs(in, r.callees_a) && getStrs(in, r.callees_b);
 }
 
+/** Bytes of the smallest encodable report: five empty strings, the
+ *  kind, six 32-bit fields, two 64-bit fingerprints, no queries and two
+ *  empty callee lists. Counts are checked against it before anything is
+ *  allocated. */
+constexpr size_t kMinReportBytes = 5 * 4 + 1 + 6 * 4 + 2 * 8 + 4 + 2 * 4;
+
 std::string
 encodeReports(const std::vector<analysis::BugReport> &reports)
 {
@@ -234,7 +240,7 @@ bool
 decodeReports(std::string_view in, std::vector<analysis::BugReport> &out)
 {
     uint32_t n;
-    if (!getU32(in, n) || n > (1u << 24))
+    if (!getU32(in, n) || n > in.size() / kMinReportBytes)
         return false;
     out.resize(n);
     for (uint32_t k = 0; k < n; k++)
@@ -267,11 +273,13 @@ configFingerprint(const summary::SummaryDb &db,
     // Summaries imported before the run (separate-file seeds).
     h = fpCombine(h, fpBytes(db.saveComputed()));
 
-    // Output-affecting analyzer options. Engine (prefix_sharing),
-    // threading and cache toggles are excluded: the determinism suite
-    // pins them output-identical. The summary-check hook contributes
-    // only its presence — two different callbacks hash alike, so runs
-    // alternating checks over one store must use distinct directories.
+    // Output-affecting analyzer options. Threading and cache toggles
+    // are excluded: the determinism suite pins them output-identical.
+    // Removing an option must leave this value unchanged, or every
+    // stored record is silently re-keyed; a test pins the default. The
+    // summary-check hook contributes only its presence — two different
+    // callbacks hash alike, so runs alternating checks over one store
+    // must use distinct directories.
     h = fpCombine(h, static_cast<uint64_t>(
                          static_cast<int64_t>(opts.max_paths)));
     h = fpCombine(h, static_cast<uint64_t>(

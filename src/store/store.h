@@ -46,7 +46,7 @@ constexpr uint8_t kFrameCheckpoint = 2;
  * predefined/imported summary, and the output-affecting AnalyzerOptions
  * (caps, classification, drop seed, enabled domains, summary-check
  * presence). A stale fingerprint misses every key, falling back to
- * clean re-analysis. Engine/thread/cache toggles are excluded — the
+ * clean re-analysis. Thread/cache toggles are excluded — the
  * determinism suite pins them output-identical.
  */
 uint64_t configFingerprint(const summary::SummaryDb &db,

@@ -1,12 +1,18 @@
 #include "summary/spec.h"
 
 #include <cctype>
+#include <charconv>
 #include <set>
 #include <sstream>
+#include <system_error>
 
 namespace rid::summary {
 
 namespace {
+
+/** Largest magnitude of one `change:` amount. Refcount deltas are small
+ *  integers; anything larger is a damaged spec, not a wide counter. */
+constexpr int64_t kMaxChange = 1 << 20;
 
 /** Minimal tokenizer for the spec language. */
 struct SpecTok
@@ -63,7 +69,10 @@ class SpecLexer
                 i_++;
             }
             cur_.kind = SpecTok::Number;
-            cur_.number = std::stoll(src_.substr(start, i_ - start));
+            auto [end, ec] = std::from_chars(src_.data() + start,
+                                             src_.data() + i_, cur_.number);
+            if (ec != std::errc())
+                throw SpecError("number out of range", line_);
             return;
         }
         switch (c) {
@@ -319,7 +328,11 @@ class SpecParser
                 lex_.advance();
                 if (lex_.cur().kind != SpecTok::Number)
                     err("expected change amount");
-                e.changes[EffectKey(domain, rc)] += sign * lex_.cur().number;
+                int64_t amount = lex_.cur().number;
+                if (amount < -kMaxChange || amount > kMaxChange)
+                    err("change amount out of range");
+                e.changes[EffectKey(domain, rc)] +=
+                    static_cast<int>(sign * amount);
                 lex_.advance();
             } else if (key == "store") {
                 e.stores.insert(parseTerm());

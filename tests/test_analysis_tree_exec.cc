@@ -364,24 +364,24 @@ TEST(TreeExecTruncation, PathCapCountsOnlyFeasiblePaths)
 {
     // Satellite contract: with pruning enabled, max_paths is spent on
     // feasible completed paths only. 16 structural paths trip a 4-path
-    // cap under enumerate-then-replay, but the tree walk prunes the 14
+    // cap in the path enumerator, but the tree walk prunes the 14
     // contradicted subtrees and completes the 2 feasible paths without
     // ever touching the cap.
     std::string source = correlatedDiamonds(4);
 
-    analysis::AnalyzerOptions prefix_on;
-    prefix_on.max_paths = 4;
-    RunResult with_pruning = runAnalyzer(source, prefix_on);
+    analysis::AnalyzerOptions opts;
+    opts.max_paths = 4;
+    RunResult with_pruning = runAnalyzer(source, opts);
     EXPECT_EQ(with_pruning.stats.functions_truncated, 0u);
     EXPECT_EQ(with_pruning.stats.paths_enumerated, 2u);
     EXPECT_TRUE(with_pruning.reports.empty());
 
-    analysis::AnalyzerOptions prefix_off;
-    prefix_off.max_paths = 4;
-    prefix_off.prefix_sharing = false;
-    RunResult replay = runAnalyzer(source, prefix_off);
-    EXPECT_EQ(replay.stats.functions_truncated, 1u);
-    EXPECT_TRUE(replay.reports.empty());
+    // The enumerator (the reference executor's path source) counts
+    // structural paths, so the same cap truncates it.
+    ir::Module mod = frontend::compile(source);
+    auto paths = analysis::enumeratePaths(*mod.find("corr"), 4);
+    EXPECT_TRUE(paths.truncated);
+    EXPECT_EQ(paths.paths.size(), 4u);
 }
 
 TEST(TreeExecTruncation, CapHitDiagnosticReportsPrunedSubtrees)
@@ -420,17 +420,6 @@ TEST(TreeExecTruncation, CapHitDiagnosticReportsPrunedSubtrees)
             << d.reason;
     }
     EXPECT_TRUE(found);
-
-    // The replay engine never prunes, so its cap diagnostic stays the
-    // plain one.
-    opts.prefix_sharing = false;
-    RunResult replay = runAnalyzer(source, opts);
-    for (const auto &d : replay.diagnostics) {
-        if (d.function == "wide") {
-            EXPECT_EQ(d.reason.find("after pruning"), std::string::npos)
-                << d.reason;
-        }
-    }
 }
 
 } // anonymous namespace

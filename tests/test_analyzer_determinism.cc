@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
+#include "analysis/paths.h"
+#include "analysis/symexec.h"
 #include "core/rid.h"
 #include "kernel/domain_specs.h"
 #include "kernel/dpm_specs.h"
@@ -71,7 +74,7 @@ std::string
 runDigest(const kernel::Corpus &corpus, int threads, int path_threads,
           bool cache, bool trace = false, double run_deadline = 0,
           double fn_deadline = 0, uint64_t solver_fuel = 0,
-          bool prefix_sharing = true, const std::string &failpoints = "",
+          const std::string &failpoints = "",
           const std::vector<std::string> &enabled_domains = {},
           bool load_domain_specs = false, bool compact = true,
           bool intern = true)
@@ -85,7 +88,6 @@ runDigest(const kernel::Corpus &corpus, int threads, int path_threads,
     opts.run_deadline_seconds = run_deadline;
     opts.function_deadline_seconds = fn_deadline;
     opts.function_solver_fuel = solver_fuel;
-    opts.prefix_sharing = prefix_sharing;
     opts.failpoints = failpoints;
     opts.enabled_domains = enabled_domains;
     if (trace) {
@@ -159,6 +161,115 @@ emittedRun(const kernel::Corpus &corpus, int threads)
     if (phases != std::string::npos)
         text.erase(phases, text.find('\n', phases) + 1 - phases);
     return text;
+}
+
+/** Entry rendering for the engine oracle: the printed entry plus the
+ *  provenance that reaches reports and journals. The path index is left
+ *  out: the tree executor numbers feasible paths, the reference
+ *  executor enumerated ones. */
+std::string
+oracleLine(const summary::SummaryEntry &e)
+{
+    std::string line = e.str() + " | return@" +
+                       std::to_string(e.origin.return_line) + " changes@";
+    for (int l : e.origin.change_lines)
+        line += std::to_string(l) + ",";
+    line += " via";
+    for (const auto &callee : e.origin.callees)
+        line += " " + callee;
+    return line;
+}
+
+struct OracleTally
+{
+    /** Analyzed functions re-executed under both executors. */
+    size_t functions = 0;
+    /** Of those, functions where the structural path cap fired. */
+    size_t capped = 0;
+};
+
+/**
+ * The engine oracle. A full run over @p extra plus @p corpus, then every
+ * function the run analyzed is re-executed against the run's final
+ * SummaryDb under executeFunctionTree (path_threads 1 and 4) and under
+ * the reference executor, enumeratePaths + executePath per path. The
+ * entry lists must be equal. Where the structural path cap fires, the
+ * reference list must be a prefix of the tree list: the tree executor
+ * counts feasible paths against the cap, the enumerator every path
+ * (DESIGN.md, "Truncation semantics").
+ */
+OracleTally
+expectTreeMatchesReference(const std::vector<std::string> &extra,
+                           const kernel::Corpus &corpus,
+                           bool load_domain_specs)
+{
+    analysis::AnalyzerOptions opts;
+    opts.profile_top_n = 1 << 30;  // one cost record per analyzed function
+    Rid tool(opts);
+    tool.loadSpecText(kernel::dpmSpecText());
+    if (load_domain_specs) {
+        tool.loadSpecText(kernel::lockSpecText());
+        tool.loadSpecText(kernel::allocSpecText());
+    }
+    for (const auto &source : extra)
+        tool.addSource(source);
+    for (const auto &file : corpus.files)
+        tool.addSource(file.text);
+    RunResult result = tool.run();
+    const summary::SummaryDb &db = tool.summaries();
+
+    OracleTally tally;
+    for (const auto &cost : result.profile.top) {
+        const ir::Function *fn = tool.module().find(cost.name);
+        if (!fn) {
+            ADD_FAILURE() << "no function " << cost.name;
+            continue;
+        }
+        auto paths = analysis::enumeratePaths(*fn, opts.max_paths);
+        analysis::ExecOptions exec;
+        exec.max_subcases = opts.max_subcases;
+        smt::Solver ref_solver;
+        std::vector<std::string> reference;
+        bool ref_truncated = paths.truncated;
+        for (size_t i = 0; i < paths.paths.size(); i++) {
+            auto r = analysis::executePath(*fn, paths.paths[i],
+                                           static_cast<int>(i), db,
+                                           ref_solver, exec);
+            ref_truncated = ref_truncated || r.truncated;
+            for (const auto &e : r.entries)
+                reference.push_back(oracleLine(e));
+        }
+
+        for (int path_threads : {1, 4}) {
+            analysis::TreeExecOptions tree_opts;
+            tree_opts.max_subcases = opts.max_subcases;
+            tree_opts.max_paths = opts.max_paths;
+            tree_opts.max_visits = 2;
+            tree_opts.path_threads = path_threads;
+            tree_opts.make_solver = []() { return smt::Solver(); };
+            smt::Solver solver;
+            auto tree =
+                analysis::executeFunctionTree(*fn, db, solver, tree_opts);
+            std::vector<std::string> lines;
+            for (const auto &outcome : tree.completed)
+                for (const auto &e : outcome.entries)
+                    lines.push_back(oracleLine(e));
+            if (paths.truncated) {
+                EXPECT_TRUE(reference.size() <= lines.size() &&
+                            std::equal(reference.begin(), reference.end(),
+                                       lines.begin()))
+                    << cost.name << " path_threads=" << path_threads;
+            } else {
+                EXPECT_EQ(lines, reference)
+                    << cost.name << " path_threads=" << path_threads;
+                EXPECT_EQ(tree.truncated, ref_truncated) << cost.name;
+            }
+        }
+        tally.functions++;
+        tally.capped += paths.truncated;
+    }
+    EXPECT_EQ(tally.functions, result.stats.functions_analyzed);
+    return tally;
 }
 
 class AnalyzerDeterminismTest : public ::testing::Test
@@ -249,100 +360,70 @@ TEST_F(AnalyzerDeterminismTest, GenerousBudgetIsByteIdenticalToNoBudget)
     }
 }
 
-TEST_F(AnalyzerDeterminismTest, PrefixSharingMatchesReplayEngine)
+TEST_F(AnalyzerDeterminismTest, BudgetAndFaultOutcomesArePinned)
 {
-    // The tentpole differential: the prefix-sharing tree executor and
-    // the enumerate-then-replay pipeline must produce byte-identical
-    // reports, summaries AND diagnostics over the full corpus, at every
-    // thread count and cache setting. The replay engine is the
-    // reference semantics; any divergence is a bug in the tree walk.
-    std::string replay = runDigest(corpus_, 1, 1, false, false, 0, 0, 0,
-                                   /*prefix_sharing=*/false);
-    ASSERT_FALSE(replay.empty());
-    for (int threads : {1, 4}) {
-        for (bool cache : {false, true}) {
-            EXPECT_EQ(runDigest(corpus_, threads, threads, cache, false,
-                                0, 0, 0, /*prefix_sharing=*/true),
-                      replay)
-                << "prefix_sharing=on threads=" << threads
-                << " cache=" << cache;
-            EXPECT_EQ(runDigest(corpus_, threads, threads, cache, false,
-                                0, 0, 0, /*prefix_sharing=*/false),
-                      replay)
-                << "prefix_sharing=off threads=" << threads
-                << " cache=" << cache;
-        }
-    }
-}
-
-TEST_F(AnalyzerDeterminismTest, PrefixSharingMatchesReplayUnderBudgets)
-{
-    // Generous budgets (which never fire) must leave both engines
-    // byte-identical to each other: budget plumbing — per-node checks in
-    // the tree walk, per-block checks under replay — is purely
-    // observational until expiry.
-    std::string replay =
-        runDigest(corpus_, 1, 1, true, false, /*run_deadline=*/3600,
-                  /*fn_deadline=*/3600, /*solver_fuel=*/1ull << 60,
-                  /*prefix_sharing=*/false);
-    EXPECT_EQ(runDigest(corpus_, 1, 1, true, false, 3600, 3600,
-                        1ull << 60, /*prefix_sharing=*/true),
-              replay);
+    // Budget and fault outcomes, pinned by digests recorded when the
+    // analyzer could still run the enumerate-then-replay executor and
+    // each of these runs was asserted byte-identical under both engines.
+    auto pin = [](const std::string &digest) {
+        return obs::fpHex(smt::fpBytes(digest));
+    };
 
     // Solver fuel of 1: any function issuing at least one non-trivial
-    // query degrades to Timeout ("budget: fuel"). The engines issue
-    // different query COUNTS (that is the whole point of prefix
-    // sharing) but the set of functions making >= 1 query is the same,
-    // so fuel accounting degrades the same functions with the same
-    // diagnostics under both engines.
-    std::string replay_fuel =
-        runDigest(corpus_, 1, 1, false, false, 0, 0, /*solver_fuel=*/1,
-                  /*prefix_sharing=*/false);
-    EXPECT_EQ(runDigest(corpus_, 1, 1, false, false, 0, 0, 1,
-                        /*prefix_sharing=*/true),
-              replay_fuel);
-    EXPECT_NE(replay_fuel.find("budget: fuel"), std::string::npos);
+    // query degrades to Timeout ("budget: fuel"), so the pin fixes which
+    // functions make a query at all.
+    std::string fuel =
+        runDigest(corpus_, 1, 1, false, false, 0, 0, /*solver_fuel=*/1);
+    EXPECT_NE(fuel.find("budget: fuel"), std::string::npos);
+    EXPECT_EQ(pin(fuel), "0x46df1f4821af47f8");
+
+    // A generous budget never fires: budget plumbing is observational.
+    EXPECT_EQ(pin(runDigest(corpus_, 1, 1, true, false,
+                            /*run_deadline=*/3600, /*fn_deadline=*/3600,
+                            /*solver_fuel=*/1ull << 60)),
+              "0x117e6708f9d8b74f");
+
+    // Targeted always-faults fire on the first hit inside the victim
+    // function: a completed path, path discovery and a solver query.
+    // Fault isolation degrades the victim and keeps every bystander.
+    const std::pair<const char *, const char *> faults[] = {
+        {"analysis.symexec.path@idmouse_open=always",
+         "0xda9b1f726daba0e8"},
+        {"analysis.paths.enumerate@usb_autopm_get_interface=always",
+         "0xc949ee95e34cc0b6"},
+        {"smt.solver.check@idmouse_open=always", "0x51626581978e74be"},
+    };
+    for (const auto &[spec, want] : faults) {
+        std::string digest =
+            runDigest(corpus_, 1, 1, true, false, 0, 0, 0, spec);
+        EXPECT_NE(digest.find("degraded"), std::string::npos)
+            << "fault did not fire under spec " << spec << ":\n"
+            << digest;
+        EXPECT_EQ(pin(digest), want) << "failpoints=" << spec;
+    }
 }
 
-TEST_F(AnalyzerDeterminismTest, PrefixSharingMatchesReplayUnderFaults)
+TEST_F(AnalyzerDeterminismTest, TreeMatchesReferenceExecutor)
 {
-    // Targeted always-faults fire on the first hit inside the victim
-    // function under either engine, so fault isolation (degrade the
-    // victim, keep every bystander byte-identical) must make whole-run
-    // digests engine-independent. Covers the shared per-path site, the
-    // path-discovery site the tree walk subsumes, and a solver fault.
-    for (const char *spec :
-         {"analysis.symexec.path@idmouse_open=always",
-          "analysis.paths.enumerate@usb_autopm_get_interface=always",
-          "smt.solver.check@idmouse_open=always"}) {
-        std::string replay = runDigest(corpus_, 1, 1, true, false, 0, 0,
-                                       0, /*prefix_sharing=*/false, spec);
-        EXPECT_EQ(runDigest(corpus_, 1, 1, true, false, 0, 0, 0,
-                            /*prefix_sharing=*/true, spec),
-                  replay)
-            << "failpoints=" << spec;
-        EXPECT_NE(replay.find("degraded"), std::string::npos)
-            << "fault did not fire under spec " << spec << ":\n"
-            << replay;
-    }
+    OracleTally tally = expectTreeMatchesReference(
+        {kFigure9Source}, corpus_, /*load_domain_specs=*/false);
+    EXPECT_GT(tally.functions, 0u);
+    EXPECT_GT(tally.capped, 0u);  // the prefix case is exercised too
 }
 
 TEST_F(AnalyzerDeterminismTest, RefOnlyDomainFilterIsByteIdentical)
 {
     // The effect-domain differential, part 1: enabling only the `ref`
     // domain must reproduce the pre-domain run exactly — same reports,
-    // same summaries, same diagnostics — across thread counts and both
-    // engines. The filter machinery (seed selection, the IPP pre-pass)
-    // must be invisible when it selects everything there is.
+    // same summaries, same diagnostics — across thread counts. The
+    // filter machinery (seed selection, the IPP pre-pass) must be
+    // invisible when it selects everything there is.
     std::string baseline = runDigest(corpus_, 1, 1, false);
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            EXPECT_EQ(runDigest(corpus_, threads, threads, false, false,
-                                0, 0, 0, prefix, "", {"ref"}),
-                      baseline)
-                << "threads=" << threads << " prefix=" << prefix
-                << " domains=ref";
-        }
+        EXPECT_EQ(runDigest(corpus_, threads, threads, false, false, 0, 0,
+                            0, "", {"ref"}),
+                  baseline)
+            << "threads=" << threads << " domains=ref";
     }
 }
 
@@ -353,8 +434,8 @@ TEST_F(AnalyzerDeterminismTest, DomainSpecsDoNotPerturbRefScan)
     // must not change a single byte of the refcount scan when the
     // corpus never calls a lock/alloc primitive.
     std::string baseline = runDigest(corpus_, 1, 1, false);
-    EXPECT_EQ(runDigest(corpus_, 1, 1, false, false, 0, 0, 0, true, "",
-                        {}, /*load_domain_specs=*/true),
+    EXPECT_EQ(runDigest(corpus_, 1, 1, false, false, 0, 0, 0, "", {},
+                        /*load_domain_specs=*/true),
               baseline);
 }
 
@@ -364,25 +445,22 @@ TEST_F(AnalyzerDeterminismTest, MultiDomainScanIsByteIdentical)
     // with all three domains' specs loaded, must stay byte-identical
     // across the same matrix the refcount corpus is pinned on.
     std::string baseline = runDigest(multi_corpus_, 1, 1, false, false,
-                                     0, 0, 0, true, "", {}, true);
+                                     0, 0, 0, "", {}, true);
     ASSERT_NE(baseline.find("unbalanced at return"), std::string::npos)
         << "multi-domain corpus produced no balanced-policy reports";
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            EXPECT_EQ(runDigest(multi_corpus_, threads, threads, true,
-                                false, 0, 0, 0, prefix, "", {}, true),
-                      baseline)
-                << "threads=" << threads << " prefix=" << prefix
-                << " multi-domain";
-        }
+        EXPECT_EQ(runDigest(multi_corpus_, threads, threads, true, false,
+                            0, 0, 0, "", {}, true),
+                  baseline)
+            << "threads=" << threads << " multi-domain";
     }
     // Filtering the same corpus down to `ref` suppresses every
     // balanced-policy report deterministically.
     std::string ref_only = runDigest(multi_corpus_, 1, 1, false, false,
-                                     0, 0, 0, true, "", {"ref"}, true);
+                                     0, 0, 0, "", {"ref"}, true);
     EXPECT_EQ(ref_only.find("unbalanced at return"), std::string::npos);
-    EXPECT_EQ(runDigest(multi_corpus_, 4, 4, true, false, 0, 0, 0, true,
-                        "", {"ref"}, true),
+    EXPECT_EQ(runDigest(multi_corpus_, 4, 4, true, false, 0, 0, 0, "",
+                        {"ref"}, true),
               ref_only);
 }
 
@@ -392,23 +470,20 @@ TEST_F(AnalyzerDeterminismTest, CompactionPreservesReportsAndDiagnostics)
     // AFTER the function's own reports and diagnostics are final, so
     // toggling it may only change the summary export — reports and
     // diagnostics must stay byte-identical to the uncompacted run,
-    // across thread counts and both engines.
+    // across thread counts.
     std::string baseline = stripSummaries(
-        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, true, "", {},
-                  false, /*compact=*/false));
+        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, "", {}, false,
+                  /*compact=*/false));
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool compact : {false, true}) {
-                if (threads == 1 && prefix && !compact)
-                    continue;  // the baseline itself
-                EXPECT_EQ(stripSummaries(runDigest(
-                              corpus_, threads, threads, false, false, 0,
-                              0, 0, prefix, "", {}, false, compact)),
-                          baseline)
-                    << "threads=" << threads << " prefix=" << prefix
-                    << " compact=" << compact;
-            }
+        for (bool compact : {false, true}) {
+            if (threads == 1 && !compact)
+                continue;  // the baseline itself
+            EXPECT_EQ(stripSummaries(runDigest(corpus_, threads, threads,
+                                               false, false, 0, 0, 0, "",
+                                               {}, false, compact)),
+                      baseline)
+                << "threads=" << threads << " compact=" << compact;
         }
     }
 }
@@ -418,25 +493,20 @@ TEST_F(AnalyzerDeterminismTest, InterningIsByteIdenticalIncludingSummaries)
     // The instantiation cache is pure memoization: a hit returns exactly
     // what a fresh instantiate() would have produced, so the FULL digest
     // — reports, summaries and diagnostics — is byte-identical with the
-    // cache off and on, across thread counts and both engines.
-    // (Compaction is off so the summaries section exercises the raw
-    // per-entry path.)
+    // cache off and on, across thread counts. (Compaction is off so the
+    // summaries section exercises the raw per-entry path.)
     std::string baseline =
-        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, true, "", {},
-                  false, /*compact=*/false, /*intern=*/false);
+        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, "", {}, false,
+                  /*compact=*/false, /*intern=*/false);
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool intern : {false, true}) {
-                if (threads == 1 && prefix && !intern)
-                    continue;  // the baseline itself
-                EXPECT_EQ(runDigest(corpus_, threads, threads, false,
-                                    false, 0, 0, 0, prefix, "", {},
-                                    false, false, intern),
-                          baseline)
-                    << "threads=" << threads << " prefix=" << prefix
-                    << " intern=" << intern;
-            }
+        for (bool intern : {false, true}) {
+            if (threads == 1 && !intern)
+                continue;  // the baseline itself
+            EXPECT_EQ(runDigest(corpus_, threads, threads, false, false, 0,
+                                0, 0, "", {}, false, false, intern),
+                      baseline)
+                << "threads=" << threads << " intern=" << intern;
         }
     }
 }
@@ -467,11 +537,10 @@ class InjectedDeterminismTest : public ::testing::Test
      *  and the tier-suffixed rendering — any tier or rank divergence
      *  across configurations shows up byte-for-byte. */
     static std::string
-    triageDigest(int path_threads, bool prefix_sharing, bool cache)
+    triageDigest(int path_threads, bool cache)
     {
         analysis::AnalyzerOptions opts;
         opts.path_threads = path_threads;
-        opts.prefix_sharing = prefix_sharing;
         opts.use_query_cache = cache;
         opts.triage = true;
         Rid tool(opts);
@@ -499,11 +568,10 @@ class InjectedDeterminismTest : public ::testing::Test
     /** Sorted fingerprint set of one run (one fpHex + report line per
      *  report), asserting every report is stamped. */
     static std::string
-    fingerprintDigest(int path_threads, bool prefix_sharing, bool cache)
+    fingerprintDigest(int path_threads, bool cache)
     {
         analysis::AnalyzerOptions opts;
         opts.path_threads = path_threads;
-        opts.prefix_sharing = prefix_sharing;
         opts.use_query_cache = cache;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
@@ -529,12 +597,10 @@ class InjectedDeterminismTest : public ::testing::Test
     }
 
     static ScoredRun
-    run(int path_threads, bool prefix_sharing, bool compact = true,
-        bool intern = true)
+    run(int path_threads, bool compact = true, bool intern = true)
     {
         analysis::AnalyzerOptions opts;
         opts.path_threads = path_threads;
-        opts.prefix_sharing = prefix_sharing;
         opts.compact_summaries = compact;
         opts.intern_instantiations = intern;
         Rid tool(opts);
@@ -564,38 +630,33 @@ kernel::InjectedCorpus InjectedDeterminismTest::triage_injected_;
 TEST_F(InjectedDeterminismTest, TriageTiersAndRanksAreConfigInvariant)
 {
     // The triage contract: tiers and ranks are byte-identical across
-    // path_threads {1, 4} x both engines x query cache {on, off}. The
-    // digest is the rank-ordered report list, so a rank permutation is
-    // as visible as a tier flip.
-    std::string baseline =
-        triageDigest(1, /*prefix_sharing=*/false, /*cache=*/false);
+    // path_threads {1, 4} x query cache {on, off}. The digest is the
+    // rank-ordered report list, so a rank permutation is as visible as
+    // a tier flip.
+    std::string baseline = triageDigest(1, /*cache=*/false);
     ASSERT_FALSE(baseline.empty());
     // Non-vacuity: both tier extremes are present in the baseline.
     ASSERT_NE(baseline.find("{confirmed}"), std::string::npos)
         << baseline;
     ASSERT_NE(baseline.find("{refuted}"), std::string::npos) << baseline;
     for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool cache : {false, true}) {
-                if (path_threads == 1 && !prefix && !cache)
-                    continue;  // the baseline itself
-                EXPECT_EQ(triageDigest(path_threads, prefix, cache),
-                          baseline)
-                    << "path_threads=" << path_threads
-                    << " prefix_sharing=" << prefix << " cache=" << cache;
-            }
+        for (bool cache : {false, true}) {
+            if (path_threads == 1 && !cache)
+                continue;  // the baseline itself
+            EXPECT_EQ(triageDigest(path_threads, cache), baseline)
+                << "path_threads=" << path_threads << " cache=" << cache;
         }
     }
 }
 
-TEST_F(InjectedDeterminismTest, InjectedScoresAreEngineAndThreadInvariant)
+TEST_F(InjectedDeterminismTest, InjectedScoresAreThreadInvariant)
 {
     // The ground-truth scores are a *measurement* — they must not move
     // with the execution strategy. Scale-0.05 injected corpus: reports
     // byte-identical and precision/recall identical across path_threads
-    // {1, 4} and both engines (the replay pipeline is the reference).
+    // {1, 4}.
     ASSERT_GT(injected_.injections.size(), 10u);
-    ScoredRun baseline = run(1, /*prefix_sharing=*/false);
+    ScoredRun baseline = run(1);
     ASSERT_FALSE(baseline.digest.empty());
     // The clean-mix injected corpus scores perfectly in the reference
     // configuration (the bench gate's smoke invariant).
@@ -604,29 +665,20 @@ TEST_F(InjectedDeterminismTest, InjectedScoresAreEngineAndThreadInvariant)
     EXPECT_EQ(baseline.score.total.tp,
               static_cast<int>(injected_.injections.size()));
 
-    for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            if (path_threads == 1 && !prefix)
-                continue;  // the baseline itself
-            ScoredRun other = run(path_threads, prefix);
-            EXPECT_EQ(other.digest, baseline.digest)
-                << "path_threads=" << path_threads
-                << " prefix_sharing=" << prefix;
-            EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
-            EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
-            EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
-            EXPECT_EQ(other.score.total.precision(),
-                      baseline.score.total.precision());
-            EXPECT_EQ(other.score.total.recall(),
-                      baseline.score.total.recall());
-            ASSERT_EQ(other.score.by_domain.size(),
-                      baseline.score.by_domain.size());
-            for (const auto &[domain, counts] : baseline.score.by_domain) {
-                const auto &oc = other.score.by_domain.at(domain);
-                EXPECT_EQ(oc.precision(), counts.precision()) << domain;
-                EXPECT_EQ(oc.recall(), counts.recall()) << domain;
-            }
-        }
+    ScoredRun other = run(4);
+    EXPECT_EQ(other.digest, baseline.digest) << "path_threads=4";
+    EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
+    EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
+    EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
+    EXPECT_EQ(other.score.total.precision(),
+              baseline.score.total.precision());
+    EXPECT_EQ(other.score.total.recall(), baseline.score.total.recall());
+    ASSERT_EQ(other.score.by_domain.size(),
+              baseline.score.by_domain.size());
+    for (const auto &[domain, counts] : baseline.score.by_domain) {
+        const auto &oc = other.score.by_domain.at(domain);
+        EXPECT_EQ(oc.precision(), counts.precision()) << domain;
+        EXPECT_EQ(oc.recall(), counts.recall()) << domain;
     }
 }
 
@@ -635,35 +687,31 @@ TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
     // Ground-truth scores on the injected corpus must survive both
     // perf attacks: report digests and per-domain precision/recall are
     // identical with compaction and interning toggled in every
-    // combination, across path_threads {1, 4} and both engines.
-    ScoredRun baseline =
-        run(1, /*prefix_sharing=*/false, /*compact=*/false,
-            /*intern=*/false);
+    // combination, across path_threads {1, 4}.
+    ScoredRun baseline = run(1, /*compact=*/false, /*intern=*/false);
     ASSERT_FALSE(baseline.digest.empty());
     for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool compact : {false, true}) {
-                for (bool intern : {false, true}) {
-                    if (path_threads == 1 && !prefix && !compact &&
-                        !intern)
-                        continue;  // the baseline itself
-                    ScoredRun other =
-                        run(path_threads, prefix, compact, intern);
-                    EXPECT_EQ(other.digest, baseline.digest)
-                        << "path_threads=" << path_threads
-                        << " prefix=" << prefix
-                        << " compact=" << compact
-                        << " intern=" << intern;
-                    EXPECT_EQ(other.score.total.tp,
-                              baseline.score.total.tp);
-                    EXPECT_EQ(other.score.total.fp,
-                              baseline.score.total.fp);
-                    EXPECT_EQ(other.score.total.fn,
-                              baseline.score.total.fn);
-                }
+        for (bool compact : {false, true}) {
+            for (bool intern : {false, true}) {
+                if (path_threads == 1 && !compact && !intern)
+                    continue;  // the baseline itself
+                ScoredRun other = run(path_threads, compact, intern);
+                EXPECT_EQ(other.digest, baseline.digest)
+                    << "path_threads=" << path_threads
+                    << " compact=" << compact << " intern=" << intern;
+                EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
+                EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
+                EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
             }
         }
     }
+}
+
+TEST_F(InjectedDeterminismTest, TreeMatchesReferenceExecutor)
+{
+    OracleTally tally = expectTreeMatchesReference(
+        {}, triage_injected_.corpus, /*load_domain_specs=*/true);
+    EXPECT_GT(tally.functions, 0u);
 }
 
 TEST_F(InjectedDeterminismTest, BodyFingerprintsArePinned)
@@ -761,23 +809,18 @@ TEST_F(InjectedDeterminismTest, TriageSharesTheRunCallGraph)
 TEST_F(InjectedDeterminismTest, FingerprintsAreConfigInvariant)
 {
     // The provenance contract: report fingerprints are a stable identity,
-    // byte-identical across path_threads {1, 4} x both engines x query
-    // cache {on, off} on the injected smoke corpus. Any configuration
-    // leaking into the fingerprint recipe (e.g. cache hit/miss evidence)
-    // breaks cross-run diffing and shows up here.
-    std::string baseline =
-        fingerprintDigest(1, /*prefix_sharing=*/false, /*cache=*/false);
+    // byte-identical across path_threads {1, 4} x query cache {on, off}
+    // on the injected smoke corpus. Any configuration leaking into the
+    // fingerprint recipe (e.g. cache hit/miss evidence) breaks cross-run
+    // diffing and shows up here.
+    std::string baseline = fingerprintDigest(1, /*cache=*/false);
     ASSERT_FALSE(baseline.empty());
     for (int path_threads : {1, 4}) {
-        for (bool prefix : {false, true}) {
-            for (bool cache : {false, true}) {
-                if (path_threads == 1 && !prefix && !cache)
-                    continue;  // the baseline itself
-                EXPECT_EQ(fingerprintDigest(path_threads, prefix, cache),
-                          baseline)
-                    << "path_threads=" << path_threads
-                    << " prefix_sharing=" << prefix << " cache=" << cache;
-            }
+        for (bool cache : {false, true}) {
+            if (path_threads == 1 && !cache)
+                continue;  // the baseline itself
+            EXPECT_EQ(fingerprintDigest(path_threads, cache), baseline)
+                << "path_threads=" << path_threads << " cache=" << cache;
         }
     }
 }

@@ -24,31 +24,14 @@
 #include "frontend/parser.h"
 #include "kernel/dpm_specs.h"
 #include "kernel/generator.h"
+#include "mutation_util.h"
 #include "obs/provenance.h"
 
 namespace rid {
 namespace {
 
-struct Mutant
-{
-    std::string label;
-    std::string text;
-};
-
-/** SplitMix64: a fixed, platform-independent mutation schedule. */
-struct Rng
-{
-    uint64_t state;
-    uint64_t
-    next()
-    {
-        uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
-    size_t below(size_t n) { return static_cast<size_t>(next() % n); }
-};
+using testutil::Mutant;
+using testutil::Rng;
 
 constexpr int kFlips = 24;
 constexpr int kSplices = 16;
@@ -59,17 +42,8 @@ mutantsOf(const std::string &src, uint64_t seed)
 {
     std::vector<Mutant> out;
     Rng rng{seed};
-    for (int k = 0; k < kFlips; k++) {
-        size_t at = rng.below(src.size());
-        auto mask = static_cast<char>(1 + rng.below(255));
-        std::string text = src;
-        text[at] = static_cast<char>(text[at] ^ mask);
-        out.push_back({"flip@" + std::to_string(at), std::move(text)});
-    }
-    for (size_t cut = kTruncateStride; cut < src.size();
-         cut += kTruncateStride)
-        out.push_back(
-            {"truncate@" + std::to_string(cut), src.substr(0, cut)});
+    testutil::addFlips(out, src, rng, kFlips);
+    testutil::addTruncations(out, src, kTruncateStride);
 
     // Token boundaries: the offsets of every spelled token in the source.
     std::vector<size_t> starts;

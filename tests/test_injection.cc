@@ -13,11 +13,14 @@
 #include <set>
 
 #include "core/rid.h"
+#include "frontend/lower.h"
 #include "kernel/domain_specs.h"
 #include "kernel/dpm_specs.h"
 #include "kernel/generator.h"
 #include "kernel/inject.h"
 #include "kernel/score.h"
+#include "obs/provenance.h"
+#include "smt/intern.h"
 
 namespace rid::kernel {
 namespace {
@@ -328,6 +331,90 @@ TEST(InjectedCorpus, ShardedAndResidentLayoutsAgree)
     for (size_t i = 0; i < files.size(); i++)
         EXPECT_EQ(files[i].text, resident.corpus.files[i].text);
     EXPECT_EQ(log.injections.size(), resident.injections.size());
+}
+
+/** Digest of an injected corpus: every injection record, the engine's
+ *  counters and every file's name and text. */
+std::string
+injectionDigest(const InjectedCorpus &injected)
+{
+    uint64_t h = smt::fpBytes("rid-injection");
+    for (const auto &i : injected.injections) {
+        h = smt::fpCombine(h, smt::fpBytes(i.function));
+        h = smt::fpCombine(h, smt::fpBytes(i.domain));
+        h = smt::fpCombine(h, static_cast<uint64_t>(i.kind));
+        h = smt::fpCombine(h, static_cast<uint64_t>(i.host));
+        h = smt::fpCombine(h, smt::fpBytes(i.path));
+        h = smt::fpCombine(h, static_cast<uint64_t>(i.line));
+    }
+    for (const auto &f : injected.corpus.files) {
+        h = smt::fpCombine(h, smt::fpBytes(f.name));
+        h = smt::fpCombine(h, smt::fpBytes(f.text));
+    }
+    return obs::fpHex(h);
+}
+
+TEST(InjectedCorpus, ScaleFiveHundredthsOutputIsPinned)
+{
+    // The bench_truth_score smoke corpus (clean mix at scale 0.05) and
+    // its triage-gate variant with seeded FP-inducers. The viability
+    // filter decides which candidates survive, so any change in what it
+    // sees moves these digests.
+    struct Case
+    {
+        bool fp_inducers;
+        size_t files;
+        const char *digest;
+    };
+    for (const Case &c : {Case{false, 337, "0xf961c961736efa88"},
+                          Case{true, 338, "0x72c2510a4b2c2d25"}}) {
+        auto mix = CorpusMix::cleanCalibrated(0.05);
+        if (c.fp_inducers) {
+            mix.counts[PatternKind::FpBitmask] = 12;
+            mix.counts[PatternKind::FpListOp] = 10;
+        }
+        InjectedCorpus injected =
+            generateInjectedCorpus(mix, InjectionPlan::calibrated(mix));
+        EXPECT_EQ(injected.injections.size(), 47u);
+        EXPECT_EQ(injected.stats.attempted, 47);
+        EXPECT_EQ(injected.stats.applied, 47);
+        EXPECT_EQ(injected.corpus.files.size(), c.files);
+        EXPECT_EQ(injectionDigest(injected), c.digest)
+            << "fp_inducers=" << c.fp_inducers;
+    }
+}
+
+TEST(InjectionViability, VerdictsArePinned)
+{
+    // Every defined function of the injected + FP-inducer corpus, asked
+    // for each of the three domains: the verdicts (31 viable of 8244)
+    // are pinned by a digest.
+    auto mix = CorpusMix::cleanCalibrated(0.01);
+    mix.counts[PatternKind::FpBitmask] = 6;
+    mix.counts[PatternKind::FpListOp] = 5;
+    InjectedCorpus injected =
+        generateInjectedCorpus(mix, InjectionPlan::calibrated(mix));
+    uint64_t h = smt::fpBytes("rid-viability");
+    size_t calls = 0, viable = 0;
+    for (const auto &file : injected.corpus.files) {
+        ir::Module mod = frontend::compile(file.text);
+        for (const auto &fn : mod.functions()) {
+            if (fn->isDeclaration())
+                continue;
+            for (const char *domain : {"ref", "lock", "alloc"}) {
+                bool v =
+                    InjectionEngine::viable(file.text, fn->name(), domain);
+                calls++;
+                viable += v;
+                h = smt::fpCombine(h, smt::fpBytes(fn->name()));
+                h = smt::fpCombine(h, smt::fpBytes(domain));
+                h = smt::fpCombine(h, static_cast<uint64_t>(v));
+            }
+        }
+    }
+    EXPECT_EQ(calls, 8244u);
+    EXPECT_EQ(viable, 31u);
+    EXPECT_EQ(obs::fpHex(h), "0x06777c020738a571");
 }
 
 TEST(Census, CountsDomainsAndInjections)

@@ -134,6 +134,31 @@ TEST(ProvenanceJournal, MalformedInputThrows)
     EXPECT_TRUE(obs::parseJournal("\n  \n").empty());
 }
 
+TEST(ProvenanceJournal, BadNumbersAreParseErrors)
+{
+    // Numbers that do not parse, do not fit or are not integers are
+    // malformed records, reported as parse errors like any other.
+    std::string line = sampleRecord().json();
+    auto with = [&](const std::string &from, const std::string &to) {
+        std::string out = line;
+        size_t at = out.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return out.replace(at, from.size(), to);
+    };
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{"\"fuel\":1", "\"fuel\":-"},
+          {"\"fuel\":1", "\"fuel\":1e999"},
+          {"\"fuel\":1", "\"fuel\":-1"},
+          {"\"return_line\":12", "\"return_line\":1111111111111111111111"},
+          {"\"delta\":1", "\"delta\":0.5"},
+          {"\"delta\":1", "\"delta\":\"1\""},
+          {"[3,7]", "[3,1e10]"}}) {
+        std::string bad = with(from, to);
+        EXPECT_THROW(obs::parseJournal(bad), std::runtime_error) << bad;
+        EXPECT_EQ(obs::parseJournalTolerant(bad).skipped_lines, 1u) << bad;
+    }
+}
+
 TEST(ProvenanceJournal, TolerantParseRecoversCompleteRecordsFromTornTail)
 {
     std::vector<obs::ProvenanceRecord> records;

@@ -307,13 +307,25 @@ TEST(StoreConfig, FingerprintTracksSpecsAndOutputAffectingOptions)
     filtered.enabled_domains = {"ref"};
     EXPECT_NE(base, store::configFingerprint(dpm_db, filtered));
 
-    // Engine/thread/cache toggles are pinned output-identical by the
+    // Thread/cache toggles are pinned output-identical by the
     // determinism suite and must NOT invalidate the store.
     analysis::AnalyzerOptions engine = opts;
-    engine.prefix_sharing = !engine.prefix_sharing;
     engine.threads = 4;
     engine.use_query_cache = false;
     EXPECT_EQ(base, store::configFingerprint(dpm_db, engine));
+}
+
+TEST(StoreConfig, DefaultFingerprintIsPinned)
+{
+    // Every stored record is keyed by this value. Adding a hashed option
+    // is a deliberate format change; removing an unhashed one must leave
+    // it alone, or every existing store silently misses on its next
+    // --resume.
+    summary::SummaryDb dpm_db;
+    summary::loadSpecsInto(kernel::dpmSpecText(), dpm_db);
+    EXPECT_EQ(obs::fpHex(store::configFingerprint(
+                  dpm_db, analysis::AnalyzerOptions{})),
+              "0x4baba43a0b4bfcbb");
 }
 
 // ----------------------------------------------------------- end to end
