@@ -314,6 +314,24 @@ BM_AnalyzePathsParallel(benchmark::State &state)
 BENCHMARK(BM_AnalyzePathsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+/** One Rid run over @p corpus with the DPM specs under @p opts, and its
+ *  wall seconds (frontend excluded). */
+std::pair<rid::RunResult, double>
+timedRun(const rid::analysis::AnalyzerOptions &opts,
+         const rid::kernel::Corpus &corpus)
+{
+    rid::Rid tool(opts);
+    tool.loadSpecText(rid::kernel::dpmSpecText());
+    for (const auto &file : corpus.files)
+        tool.addSource(file.text);
+    auto t0 = std::chrono::steady_clock::now();
+    rid::RunResult result = tool.run();
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    return {std::move(result), wall};
+}
+
 void
 BM_AnalyzeCorpusResume(benchmark::State &state)
 {
@@ -329,11 +347,7 @@ BM_AnalyzeCorpusResume(benchmark::State &state)
         rid::analysis::AnalyzerOptions opts;
         opts.store_path = dir;
         opts.resume = resume;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        return tool.run();
+        return timedRun(opts, corpus).first;
     };
     rid::RunResult cold = runOnce(false);
     double hit_rate = 0;
@@ -373,24 +387,10 @@ writeBenchJson(const char *path)
     auto mix = rid::kernel::CorpusMix::paperCalibrated(0.01);
     auto corpus = rid::kernel::generateCorpus(mix);
 
-    auto runOnce = [&](bool cache, const std::string &provenance = "") {
-        rid::analysis::AnalyzerOptions opts;
-        opts.use_query_cache = cache;
-        opts.provenance_path = provenance;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-
-    auto [off, off_wall] = runOnce(false);
-    auto [on, on_wall] = runOnce(true);
+    rid::analysis::AnalyzerOptions no_cache;
+    no_cache.use_query_cache = false;
+    auto [off, off_wall] = timedRun(no_cache, corpus);
+    auto [on, on_wall] = timedRun({}, corpus);
 
     uint64_t checks_off = off.stats.solver.theory_checks;
     uint64_t checks_on = on.stats.solver.theory_checks;
@@ -402,8 +402,10 @@ writeBenchJson(const char *path)
     // after analysis, so the symbolic-execution phase should be all but
     // untouched (acceptance bound: <10% symexec overhead journal-on).
     std::string journal_path = std::string(path) + ".provenance.jsonl";
-    auto [joff, joff_wall] = runOnce(true);
-    auto [jon, jon_wall] = runOnce(true, journal_path);
+    auto [joff, joff_wall] = timedRun({}, corpus);
+    rid::analysis::AnalyzerOptions journal;
+    journal.provenance_path = journal_path;
+    auto [jon, jon_wall] = timedRun(journal, corpus);
     double journal_overhead =
         joff.stats.symexec_seconds > 0
             ? jon.stats.symexec_seconds / joff.stats.symexec_seconds - 1.0
@@ -416,23 +418,11 @@ writeBenchJson(const char *path)
     // symbolic-execution time (docs/STORE.md).
     std::string store_dir = std::string(path) + ".store";
     std::filesystem::remove_all(store_dir);
-    auto runStore = [&](bool resume) {
-        rid::analysis::AnalyzerOptions opts;
-        opts.store_path = store_dir;
-        opts.resume = resume;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-    auto [store_cold, store_cold_wall] = runStore(false);
-    auto [store_warm, store_warm_wall] = runStore(true);
+    rid::analysis::AnalyzerOptions store;
+    store.store_path = store_dir;
+    auto [store_cold, store_cold_wall] = timedRun(store, corpus);
+    store.resume = true;
+    auto [store_warm, store_warm_wall] = timedRun(store, corpus);
     std::filesystem::remove_all(store_dir);
 
     // Instantiation-interning differential on the wrapper-heavy mix
@@ -443,101 +433,71 @@ writeBenchJson(const char *path)
     // entries_instantiated_on <= 0.5 * entries_instantiated_off with
     // byte-identical reports (scripts/check.sh gates the ratio).
     auto wcorpus = rid::kernel::generateCorpus(wrapperHeavyMix());
-    auto runInst = [&](bool intern) {
-        rid::analysis::AnalyzerOptions opts;
-        opts.intern_instantiations = intern;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : wcorpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-    auto [inst_off, inst_off_wall] = runInst(false);
-    auto [inst_on, inst_on_wall] = runInst(true);
+    rid::analysis::AnalyzerOptions no_intern;
+    no_intern.intern_instantiations = false;
+    auto [inst_off, inst_off_wall] = timedRun(no_intern, wcorpus);
+    auto [inst_on, inst_on_wall] = timedRun({}, wcorpus);
 
     // Triage differential: the same scaled corpus with the automated
     // triage pass on (shared query cache). "cross_pass_cache_hit_rate"
     // is the fraction of cache hits answered across passes — triage
     // queries re-hitting main-analysis verdicts (docs/TRIAGE.md).
-    auto runTriage = [&]() {
-        rid::analysis::AnalyzerOptions opts;
-        opts.triage = true;
-        rid::Rid tool(opts);
-        tool.loadSpecText(rid::kernel::dpmSpecText());
-        for (const auto &file : corpus.files)
-            tool.addSource(file.text);
-        auto t0 = std::chrono::steady_clock::now();
-        rid::RunResult result = tool.run();
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        return std::pair<rid::RunResult, double>(std::move(result), wall);
-    };
-    auto [triage_run, triage_wall] = runTriage();
+    rid::analysis::AnalyzerOptions triage;
+    triage.triage = true;
+    auto [triage_run, triage_wall] = timedRun(triage, corpus);
     uint64_t ei_off = inst_off.stats.entries_instantiated;
     uint64_t ei_on = inst_on.stats.entries_instantiated;
     double inst_reduction =
         ei_off ? 1.0 - static_cast<double>(ei_on) / ei_off : 0.0;
 
     std::ofstream out(path);
-    out << "{\n";
-    out << "  \"workload\": \"synthetic DPM corpus (scale 0.01), "
-           "repeated-overlap IPP + feasibility pruning\",\n";
-    out << "  \"cache_off\": " << off.statsJson() << ",\n";
-    out << "  \"cache_on\": " << on.statsJson() << ",\n";
-    out << "  \"wall_seconds_off\": " << off_wall << ",\n";
-    out << "  \"wall_seconds_on\": " << on_wall << ",\n";
-    out << "  \"theory_checks_off\": " << checks_off << ",\n";
-    out << "  \"theory_checks_on\": " << checks_on << ",\n";
-    out << "  \"theory_check_reduction\": " << reduction << ",\n";
-    out << "  \"cache_hit_rate\": " << on.stats.query_cache.hitRate()
-        << ",\n";
-    out << "  \"wall_seconds_journal_off\": " << joff_wall << ",\n";
-    out << "  \"wall_seconds_journal_on\": " << jon_wall << ",\n";
-    out << "  \"symexec_seconds_journal_off\": "
-        << joff.stats.symexec_seconds << ",\n";
-    out << "  \"symexec_seconds_journal_on\": "
-        << jon.stats.symexec_seconds << ",\n";
-    out << "  \"provenance_overhead\": " << journal_overhead << ",\n";
-    out << "  \"wall_seconds_resume_cold\": " << store_cold_wall << ",\n";
-    out << "  \"wall_seconds_resume_warm\": " << store_warm_wall << ",\n";
-    out << "  \"symexec_seconds_resume_cold\": "
-        << store_cold.stats.symexec_seconds << ",\n";
-    out << "  \"symexec_seconds_resume_warm\": "
-        << store_warm.stats.symexec_seconds << ",\n";
-    out << "  \"resume_hit_rate\": " << store_warm.stats.store.hitRate()
-        << ",\n";
-    out << "  \"resume_store_bytes\": "
-        << store_cold.stats.store.bytes_appended << ",\n";
-    out << "  \"inst_off\": " << inst_off.statsJson() << ",\n";
-    out << "  \"inst_on\": " << inst_on.statsJson() << ",\n";
-    out << "  \"wall_seconds_inst_off\": " << inst_off_wall << ",\n";
-    out << "  \"wall_seconds_inst_on\": " << inst_on_wall << ",\n";
-    out << "  \"entries_instantiated_off\": " << ei_off << ",\n";
-    out << "  \"entries_instantiated_on\": " << ei_on << ",\n";
-    out << "  \"instantiation_reduction\": " << inst_reduction << ",\n";
-    out << "  \"inst_cache_hit_rate\": "
-        << inst_on.stats.inst_cache.hitRate() << ",\n";
-    out << "  \"summary_entries_compacted\": "
-        << inst_on.stats.summary_entries_compacted << ",\n";
-    out << "  \"symexec_seconds_inst_off\": "
-        << inst_off.stats.symexec_seconds << ",\n";
-    out << "  \"symexec_seconds_inst_on\": "
-        << inst_on.stats.symexec_seconds << ",\n";
-    out << "  \"triage_on\": " << triage_run.statsJson() << ",\n";
-    out << "  \"wall_seconds_triage\": " << triage_wall << ",\n";
-    out << "  \"triage_seconds\": " << triage_run.triage.seconds
-        << ",\n";
-    out << "  \"cross_pass_cache_hits\": "
-        << triage_run.stats.query_cache.cross_pass_hits << ",\n";
-    out << "  \"cross_pass_cache_hit_rate\": "
-        << triage_run.stats.query_cache.crossPassRate() << "\n";
-    out << "}\n";
+    const char *sep = "{\n";
+    auto key = [&](const char *name) -> std::ostream & {
+        out << sep << "  \"" << name << "\": ";
+        sep = ",\n";
+        return out;
+    };
+    key("workload") << "\"synthetic DPM corpus (scale 0.01), "
+                       "repeated-overlap IPP + feasibility pruning\"";
+    key("cache_off") << off.statsJson();
+    key("cache_on") << on.statsJson();
+    key("wall_seconds_off") << off_wall;
+    key("wall_seconds_on") << on_wall;
+    key("theory_checks_off") << checks_off;
+    key("theory_checks_on") << checks_on;
+    key("theory_check_reduction") << reduction;
+    key("cache_hit_rate") << on.stats.query_cache.hitRate();
+    key("wall_seconds_journal_off") << joff_wall;
+    key("wall_seconds_journal_on") << jon_wall;
+    key("symexec_seconds_journal_off") << joff.stats.symexec_seconds;
+    key("symexec_seconds_journal_on") << jon.stats.symexec_seconds;
+    key("provenance_overhead") << journal_overhead;
+    key("wall_seconds_resume_cold") << store_cold_wall;
+    key("wall_seconds_resume_warm") << store_warm_wall;
+    key("symexec_seconds_resume_cold") << store_cold.stats.symexec_seconds;
+    key("symexec_seconds_resume_warm") << store_warm.stats.symexec_seconds;
+    key("resume_hit_rate") << store_warm.stats.store.hitRate();
+    key("resume_store_bytes") << store_cold.stats.store.bytes_appended;
+    key("inst_off") << inst_off.statsJson();
+    key("inst_on") << inst_on.statsJson();
+    key("wall_seconds_inst_off") << inst_off_wall;
+    key("wall_seconds_inst_on") << inst_on_wall;
+    key("entries_instantiated_off") << ei_off;
+    key("entries_instantiated_on") << ei_on;
+    key("instantiation_reduction") << inst_reduction;
+    key("inst_cache_hit_rate") << inst_on.stats.inst_cache.hitRate();
+    key("summary_entries_compacted")
+        << inst_on.stats.summary_entries_compacted;
+    key("symexec_seconds_inst_off") << inst_off.stats.symexec_seconds;
+    key("symexec_seconds_inst_on") << inst_on.stats.symexec_seconds;
+    key("triage_on") << triage_run.statsJson();
+    key("wall_seconds_triage") << triage_wall;
+    key("triage_seconds") << triage_run.triage.seconds;
+    key("cross_pass_cache_hits")
+        << triage_run.stats.query_cache.cross_pass_hits;
+    key("cross_pass_cache_hit_rate")
+        << triage_run.stats.query_cache.crossPassRate();
+    out << "\n}\n";
     std::printf("wrote %s (theory checks %llu -> %llu, hit rate %.2f; "
                 "resume hit rate %.2f, warm symexec %.3fs; "
                 "interning: instantiations %llu -> %llu (-%.0f%%), "

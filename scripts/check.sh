@@ -17,12 +17,13 @@
 # mutation fuzz and the lexer suite under the same sanitizers (tokens
 # view the source buffer), runs the mutation fuzz of spec text, WAL
 # segments and provenance journals and the store suite under the same
-# sanitizers, runs the engine oracle, the pinned outcomes and the
-# tree-executor unit suite under the same sanitizers (the COW store and
-# persistent condition chain are exactly the kind of shared-ownership
-# code ASan exists for), runs the summary-compaction unit suite plus the
-# compaction/interning determinism differentials under ASan (the
-# sharded instantiation cache is shared mutable state), refreshes
+# sanitizers, runs the engine oracle, the pinned outcomes, the
+# run-metric registry test and the tree-executor unit suite under the
+# same sanitizers (the COW store and persistent condition chain are
+# exactly the kind of shared-ownership code ASan exists for), runs the
+# summary-compaction unit suite plus the compaction/interning
+# determinism pins under ASan (the sharded instantiation cache is
+# shared mutable state), refreshes
 # BENCH_performance.json at the repo root (the microbenchmarks
 # themselves are skipped via a non-matching filter — only the
 # trajectory-record workload runs, including the provenance journal
@@ -99,12 +100,14 @@ echo "== sanitizer smoke (ASan+UBSan input mutation fuzz) =="
 cmake --build build-asan -j --target test_input_fuzz
 ./build-asan/tests/test_input_fuzz
 
-echo "== sanitizer smoke (ASan+UBSan tree executor + engine oracle) =="
+# The registry test runs its analyses at four SCC-level threads, so
+# every run counter is incremented concurrently.
+echo "== sanitizer smoke (ASan+UBSan tree executor, oracle, registry) =="
 cmake --build build-asan -j --target test_analysis_tree_exec \
     --target test_analyzer_determinism
 ./build-asan/tests/test_analysis_tree_exec
 run_filtered ./build-asan/tests/test_analyzer_determinism \
-    '*TreeMatchesReferenceExecutor:*OutcomesArePinned'
+    '*TreeMatchesReferenceExecutor:*OutcomesArePinned:*SingleStatsSource'
 
 # The sharded instantiation cache is cross-thread shared mutable state
 # (per-shard mutexes guarding LRU lists), and compaction runs solver

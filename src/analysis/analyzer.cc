@@ -5,8 +5,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <iterator>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include "analysis/callgraph.h"
 #include "obs/failpoint.h"
@@ -23,6 +25,203 @@ secondsSince(std::chrono::steady_clock::time_point start)
                                          start)
         .count();
 }
+
+/** Reads and writes one AnalyzerStats field. `count` reads an integral
+ *  field; `set` writes @p count to an integral field and @p value to a
+ *  floating-point one. */
+struct StatField
+{
+    uint64_t (*count)(const AnalyzerStats &) = nullptr;
+    void (*set)(AnalyzerStats &, uint64_t count, double value) = nullptr;
+};
+
+/** The AnalyzerStats field at the end of the member path @p Path. */
+template <auto... Path>
+constexpr StatField field{
+    [](const AnalyzerStats &s) {
+        return static_cast<uint64_t>((s .* ... .* Path));
+    },
+    [](AnalyzerStats &s, uint64_t count, double value) {
+        auto &f = (s .* ... .* Path);
+        if constexpr (std::is_floating_point_v<std::decay_t<decltype(f)>>)
+            f = value;
+        else
+            f = count;
+    },
+};
+
+enum class Kind : uint8_t { Counter, Gauge, Histogram };
+
+/** Which analyzers register a row. Cache rows are gauges that mirror
+ *  the caches' own counters; every other row with a field is the
+ *  accumulator that field is read from. */
+enum class Scope : uint8_t { Always, QueryCache, InstCache, Store };
+
+struct MetricRow
+{
+    RunMetric id;
+    Kind kind;
+    const char *name;
+    const char *help;
+    StatField stat = {};
+    Scope scope = Scope::Always;
+    std::vector<double> (*buckets)() = obs::latencyBucketsSeconds;
+};
+
+} // anonymous namespace
+
+enum class RunMetric : uint8_t {
+    FunctionsAnalyzed, FunctionsDefaulted, FunctionsTruncated,
+    FunctionsTimeout, FunctionsDegraded, FunctionsError, PathsEnumerated,
+    EntriesComputed, BlocksExecuted, StateForks, SubtreesPruned,
+    EntriesInstantiated, SummaryEntriesCompacted, SolverQueries,
+    SolverTheoryChecks, SolverBranches, SolverUnknowns, SolverCacheHits,
+    SolverCacheMisses, SolverSolveNs, SolverBudgetStops, ClassifySeconds,
+    AnalyzeSeconds, PathsPerFunction, SymexecSeconds, IppSeconds,
+    SolverQuerySeconds, QueryCacheHits, QueryCacheMisses,
+    QueryCacheEntries, QueryCacheEvictions, InstCacheHits, InstCacheMisses,
+    InstCacheEntries, InstCacheEvictions, StoreHits, StoreMisses,
+    StoreRetries, StoreQuarantined, StoreTornFrames, StoreRecordBytes,
+    Count
+};
+
+namespace {
+
+using enum RunMetric;
+using enum Kind;
+using enum Scope;
+using S = AnalyzerStats;
+using Sv = smt::Solver::Stats;
+using Qc = smt::QueryCache::Stats;
+using Ic = summary::InstCache::Stats;
+using St = AnalyzerStats::StoreStats;
+
+/** Every run metric an Analyzer owns, in RunMetric order. Names and help
+ *  texts are the exposition's stable surface. */
+constexpr MetricRow kMetricRows[] = {
+    {FunctionsAnalyzed, Counter, "rid_functions_analyzed_total",
+     "Functions fully analyzed.", field<&S::functions_analyzed>},
+    {FunctionsDefaulted, Counter, "rid_functions_defaulted_total",
+     "Functions given the default summary unanalyzed.",
+     field<&S::functions_defaulted>},
+    {FunctionsTruncated, Counter, "rid_functions_truncated_total",
+     "Functions whose path/subcase caps truncated analysis.",
+     field<&S::functions_truncated>},
+    {FunctionsTimeout, Counter, "rid_functions_timeout_total",
+     "Functions degraded to the default summary by budget expiry.",
+     field<&S::functions_timeout>},
+    {FunctionsDegraded, Counter, "rid_functions_degraded_total",
+     "Functions whose analysis fault was isolated.",
+     field<&S::functions_degraded>},
+    {FunctionsError, Counter, "rid_functions_error_total",
+     "Functions that faulted outside the guarded analysis.",
+     field<&S::functions_error>},
+    {PathsEnumerated, Counter, "rid_paths_enumerated_total",
+     "Entry-to-exit paths enumerated.", field<&S::paths_enumerated>},
+    {EntriesComputed, Counter, "rid_entries_computed_total",
+     "Path summary entries computed before IPP merging.",
+     field<&S::entries_computed>},
+    {BlocksExecuted, Counter, "rid_blocks_executed_total",
+     "Basic blocks stepped during symbolic execution.",
+     field<&S::blocks_executed>},
+    {StateForks, Counter, "rid_state_forks_total",
+     "State-set forks at conditional branches (prefix-sharing engine).",
+     field<&S::state_forks>},
+    {SubtreesPruned, Counter, "rid_subtrees_pruned_total",
+     "CFG subtrees skipped on an unsatisfiable path condition (prefix-sharing "
+     "engine).", field<&S::subtrees_pruned>},
+    {EntriesInstantiated, Counter, "rid_entries_instantiated_total",
+     "Callee summary entries instantiated from scratch (inst-cache misses when "
+     "interning is on).", field<&S::entries_instantiated>},
+    {SummaryEntriesCompacted, Counter, "rid_summary_entries_compacted_total",
+     "Summary entries merged or dropped by bottom-up compaction before "
+     "entering the database.", field<&S::summary_entries_compacted>},
+    {SolverQueries, Counter, "rid_solver_queries_total",
+     "Solver check() calls.", field<&S::solver, &Sv::queries>},
+    {SolverTheoryChecks, Counter, "rid_solver_theory_checks_total",
+     "Theory-core conjunction checks.", field<&S::solver, &Sv::theory_checks>},
+    {SolverBranches, Counter, "rid_solver_branches_total",
+     "Solver branch enumerations.", field<&S::solver, &Sv::branches>},
+    {SolverUnknowns, Counter, "rid_solver_unknowns_total",
+     "Solver Unknown results.", field<&S::solver, &Sv::unknowns>},
+    {SolverCacheHits, Counter, "rid_solver_cache_hits_total",
+     "Queries answered by the cache.", field<&S::solver, &Sv::cache_hits>},
+    {SolverCacheMisses, Counter, "rid_solver_cache_misses_total",
+     "Non-trivial queries that missed the cache.",
+     field<&S::solver, &Sv::cache_misses>},
+    {SolverSolveNs, Counter, "rid_solver_solve_ns_total",
+     "Wall nanoseconds spent inside solver check().",
+     field<&S::solver, &Sv::solve_ns>},
+    {SolverBudgetStops, Counter, "rid_solver_budget_stops_total",
+     "Solver queries answered Unknown by budget expiry.",
+     field<&S::solver, &Sv::budget_stops>},
+    {ClassifySeconds, Gauge, "rid_classify_seconds",
+     "Wall time of the classification phase.", field<&S::classify_seconds>},
+    {AnalyzeSeconds, Gauge, "rid_analyze_seconds",
+     "Wall time of the bottom-up analysis.", field<&S::analyze_seconds>},
+    {PathsPerFunction, Histogram, "rid_paths_per_function",
+     "Enumerated paths per analyzed function.", {}, Always,
+     obs::pathCountBuckets},
+    {SymexecSeconds, Histogram, "rid_symexec_seconds",
+     "Per-function symbolic-execution phase wall time.",
+     field<&S::symexec_seconds>},
+    {IppSeconds, Histogram, "rid_ipp_seconds",
+     "Per-function IPP check-and-merge wall time.", field<&S::ipp_seconds>},
+    {SolverQuerySeconds, Histogram, "rid_solver_query_seconds",
+     "Solver query latency (seconds)."},
+    {QueryCacheHits, Gauge, "rid_query_cache_hits",
+     "Shared query-cache hits (snapshot).", field<&S::query_cache, &Qc::hits>,
+     QueryCache},
+    {QueryCacheMisses, Gauge, "rid_query_cache_misses",
+     "Shared query-cache misses (snapshot).",
+     field<&S::query_cache, &Qc::misses>, QueryCache},
+    {QueryCacheEntries, Gauge, "rid_query_cache_entries",
+     "Resident query-cache entries.", field<&S::query_cache, &Qc::entries>,
+     QueryCache},
+    {QueryCacheEvictions, Gauge, "rid_query_cache_evictions",
+     "Query-cache evictions (snapshot).",
+     field<&S::query_cache, &Qc::evictions>, QueryCache},
+    {InstCacheHits, Gauge, "rid_inst_cache_hits",
+     "Shared instantiation-cache hits (snapshot).",
+     field<&S::inst_cache, &Ic::hits>, InstCache},
+    {InstCacheMisses, Gauge, "rid_inst_cache_misses",
+     "Shared instantiation-cache misses (snapshot).",
+     field<&S::inst_cache, &Ic::misses>, InstCache},
+    {InstCacheEntries, Gauge, "rid_inst_cache_entries",
+     "Resident instantiation-cache entries.",
+     field<&S::inst_cache, &Ic::entries>, InstCache},
+    {InstCacheEvictions, Gauge, "rid_inst_cache_evictions",
+     "Instantiation-cache evictions (snapshot).",
+     field<&S::inst_cache, &Ic::evictions>, InstCache},
+    {StoreHits, Counter, "rid_store_hits_total",
+     "Functions replayed from the analysis store (symexec skipped).",
+     field<&S::store, &St::hits>, Store},
+    {StoreMisses, Counter, "rid_store_misses_total",
+     "Store lookups that fell back to re-analysis.",
+     field<&S::store, &St::misses>, Store},
+    {StoreRetries, Counter, "rid_store_retries_total",
+     "Previously failed functions re-run under a supervisor-laddered budget.",
+     field<&S::store, &St::retried>, Store},
+    {StoreQuarantined, Counter, "rid_store_quarantined_total",
+     "Functions quarantined after exhausting the retry ladder.",
+     field<&S::store, &St::quarantined>, Store},
+    {StoreTornFrames, Counter, "rid_store_torn_frames_total",
+     "Store frames dropped by the recovery scan.",
+     field<&S::store, &St::torn_frames>, Store},
+    {StoreRecordBytes, Histogram, "rid_store_record_bytes",
+     "Bytes appended to the store per function record.", {}, Store,
+     obs::byteSizeBuckets},
+};
+
+constexpr bool
+rowsFollowEnumOrder()
+{
+    for (size_t i = 0; i < std::size(kMetricRows); i++)
+        if (static_cast<size_t>(kMetricRows[i].id) != i)
+            return false;
+    return std::size(kMetricRows) == static_cast<size_t>(Count);
+}
+static_assert(rowsFollowEnumOrder(), "kMetricRows must follow RunMetric");
 
 } // anonymous namespace
 
@@ -43,126 +242,35 @@ Analyzer::Analyzer(const ir::Module &mod, summary::SummaryDb &db,
                    AnalyzerOptions opts)
     : mod_(mod), db_(db), opts_(opts)
 {
-    if (opts_.use_query_cache) {
-        smt::QueryCache::Options cache_opts;
-        cache_opts.capacity = opts_.query_cache_capacity;
-        query_cache_ = std::make_shared<smt::QueryCache>(cache_opts);
-    }
-    if (opts_.intern_instantiations) {
-        summary::InstCache::Options inst_opts;
-        inst_opts.capacity = opts_.inst_cache_capacity;
-        inst_cache_ = std::make_shared<summary::InstCache>(inst_opts);
-    }
+    if (opts_.use_query_cache)
+        query_cache_ = std::make_shared<smt::QueryCache>();
+    if (opts_.intern_instantiations)
+        inst_cache_ = std::make_shared<summary::InstCache>();
     tracer_ = opts_.tracer;
     if (!tracer_ && !opts_.trace_path.empty())
         tracer_ = std::make_shared<obs::Tracer>();
-    metrics_ = opts_.metrics ? opts_.metrics
-                             : std::make_shared<obs::MetricsRegistry>();
-
-    auto &m = *metrics_;
-    ins_.functions_analyzed = &m.counter(
-        "rid_functions_analyzed_total", "Functions fully analyzed.");
-    ins_.functions_defaulted =
-        &m.counter("rid_functions_defaulted_total",
-                   "Functions given the default summary unanalyzed.");
-    ins_.functions_truncated =
-        &m.counter("rid_functions_truncated_total",
-                   "Functions whose path/subcase caps truncated analysis.");
-    ins_.functions_timeout =
-        &m.counter("rid_functions_timeout_total",
-                   "Functions degraded to the default summary by budget "
-                   "expiry.");
-    ins_.functions_degraded =
-        &m.counter("rid_functions_degraded_total",
-                   "Functions whose analysis fault was isolated.");
-    ins_.functions_error =
-        &m.counter("rid_functions_error_total",
-                   "Functions that faulted outside the guarded analysis.");
-    ins_.solver_budget_stops =
-        &m.counter("rid_solver_budget_stops_total",
-                   "Solver queries answered Unknown by budget expiry.");
-    ins_.paths_enumerated = &m.counter("rid_paths_enumerated_total",
-                                       "Entry-to-exit paths enumerated.");
-    ins_.entries_computed =
-        &m.counter("rid_entries_computed_total",
-                   "Path summary entries computed before IPP merging.");
-    ins_.blocks_executed =
-        &m.counter("rid_blocks_executed_total",
-                   "Basic blocks stepped during symbolic execution.");
-    ins_.state_forks =
-        &m.counter("rid_state_forks_total",
-                   "State-set forks at conditional branches "
-                   "(prefix-sharing engine).");
-    ins_.subtrees_pruned =
-        &m.counter("rid_subtrees_pruned_total",
-                   "CFG subtrees skipped on an unsatisfiable path "
-                   "condition (prefix-sharing engine).");
-    ins_.entries_instantiated =
-        &m.counter("rid_entries_instantiated_total",
-                   "Callee summary entries instantiated from scratch "
-                   "(inst-cache misses when interning is on).");
-    ins_.summary_entries_compacted =
-        &m.counter("rid_summary_entries_compacted_total",
-                   "Summary entries merged or dropped by bottom-up "
-                   "compaction before entering the database.");
-    ins_.solver_queries =
-        &m.counter("rid_solver_queries_total", "Solver check() calls.");
-    ins_.solver_theory_checks = &m.counter(
-        "rid_solver_theory_checks_total", "Theory-core conjunction checks.");
-    ins_.solver_branches = &m.counter("rid_solver_branches_total",
-                                      "Solver branch enumerations.");
-    ins_.solver_unknowns = &m.counter("rid_solver_unknowns_total",
-                                      "Solver Unknown results.");
-    ins_.solver_cache_hits = &m.counter(
-        "rid_solver_cache_hits_total", "Queries answered by the cache.");
-    ins_.solver_cache_misses =
-        &m.counter("rid_solver_cache_misses_total",
-                   "Non-trivial queries that missed the cache.");
-    ins_.solver_solve_ns =
-        &m.counter("rid_solver_solve_ns_total",
-                   "Wall nanoseconds spent inside solver check().");
-    ins_.classify_seconds = &m.gauge(
-        "rid_classify_seconds", "Wall time of the classification phase.");
-    ins_.analyze_seconds = &m.gauge(
-        "rid_analyze_seconds", "Wall time of the bottom-up analysis.");
-    ins_.paths_per_function =
-        &m.histogram("rid_paths_per_function",
-                     "Enumerated paths per analyzed function.",
-                     obs::pathCountBuckets());
-    ins_.symexec_seconds =
-        &m.histogram("rid_symexec_seconds",
-                     "Per-function symbolic-execution phase wall time.");
-    ins_.ipp_seconds = &m.histogram(
-        "rid_ipp_seconds", "Per-function IPP check-and-merge wall time.");
-    ins_.solver_query_seconds = &m.histogram(
-        "rid_solver_query_seconds", "Solver query latency (seconds).");
-
     store_ = opts_.store;
-    if (store_) {
+    if (store_)
         store_config_fp_ = store_->configFingerprint();
-        ins_.store_hits =
-            &m.counter("rid_store_hits_total",
-                       "Functions replayed from the analysis store "
-                       "(symexec skipped).");
-        ins_.store_misses =
-            &m.counter("rid_store_misses_total",
-                       "Store lookups that fell back to re-analysis.");
-        ins_.store_retries =
-            &m.counter("rid_store_retries_total",
-                       "Previously failed functions re-run under a "
-                       "supervisor-laddered budget.");
-        ins_.store_quarantined =
-            &m.counter("rid_store_quarantined_total",
-                       "Functions quarantined after exhausting the retry "
-                       "ladder.");
-        ins_.store_torn_frames =
-            &m.counter("rid_store_torn_frames_total",
-                       "Store frames dropped by the recovery scan.");
-        ins_.store_record_bytes =
-            &m.histogram("rid_store_record_bytes",
-                         "Bytes appended to the store per function record.",
-                         obs::byteSizeBuckets());
+
+    instruments_.resize(std::size(kMetricRows));
+    for (const MetricRow &row : kMetricRows) {
+        if ((row.scope == QueryCache && !query_cache_) ||
+            (row.scope == InstCache && !inst_cache_) ||
+            (row.scope == Store && !store_))
+            continue;
+        Instrument &in = instruments_[static_cast<size_t>(row.id)];
+        if (row.kind == Counter)
+            in.counter = &metrics_->counter(row.name, row.help);
+        else if (row.kind == Gauge)
+            in.gauge = &metrics_->gauge(row.name, row.help);
+        else
+            in.histogram =
+                &metrics_->histogram(row.name, row.help, row.buckets());
     }
+    // The recovery scan ran when the store was opened.
+    if (store_)
+        instrument(StoreTornFrames).counter->inc(store_->ioStats().torn_frames);
 
     // Arm the process-wide fault-injection registry when asked to, either
     // programmatically or via the environment. An empty spec leaves any
@@ -184,51 +292,51 @@ Analyzer::makeSolver(const obs::Budget *budget) const
     sopts.trace_queries = opts_.trace_solver_queries;
     smt::Solver solver(sopts);
     solver.attachCache(query_cache_);
-    solver.attachLatencyHistogram(ins_.solver_query_seconds);
+    solver.attachLatencyHistogram(instrument(SolverQuerySeconds).histogram);
     solver.attachBudget(budget);
     return solver;
 }
 
 void
-Analyzer::addSolverStats(const smt::Solver::Stats &s)
+Analyzer::tally(const AnalyzerStats &delta) const
 {
-    ins_.solver_queries->inc(s.queries);
-    ins_.solver_theory_checks->inc(s.theory_checks);
-    ins_.solver_branches->inc(s.branches);
-    ins_.solver_unknowns->inc(s.unknowns);
-    ins_.solver_cache_hits->inc(s.cache_hits);
-    ins_.solver_cache_misses->inc(s.cache_misses);
-    ins_.solver_solve_ns->inc(s.solve_ns);
-    ins_.solver_budget_stops->inc(s.budget_stops);
+    for (const MetricRow &row : kMetricRows) {
+        obs::Counter *c = instrument(row.id).counter;
+        if (c && row.stat.count)
+            c->inc(row.stat.count(delta));
+    }
 }
 
 void
-Analyzer::refreshStatsFromRegistry()
+Analyzer::snapshotStats()
 {
-    stats_.functions_analyzed = ins_.functions_analyzed->value();
-    stats_.functions_defaulted = ins_.functions_defaulted->value();
-    stats_.functions_truncated = ins_.functions_truncated->value();
-    stats_.functions_timeout = ins_.functions_timeout->value();
-    stats_.functions_degraded = ins_.functions_degraded->value();
-    stats_.functions_error = ins_.functions_error->value();
-    stats_.paths_enumerated = ins_.paths_enumerated->value();
-    stats_.entries_computed = ins_.entries_computed->value();
-    stats_.blocks_executed = ins_.blocks_executed->value();
-    stats_.state_forks = ins_.state_forks->value();
-    stats_.subtrees_pruned = ins_.subtrees_pruned->value();
-    stats_.entries_instantiated = ins_.entries_instantiated->value();
-    stats_.summary_entries_compacted =
-        ins_.summary_entries_compacted->value();
-    stats_.symexec_seconds = ins_.symexec_seconds->sum();
-    stats_.ipp_seconds = ins_.ipp_seconds->sum();
-    stats_.solver.queries = ins_.solver_queries->value();
-    stats_.solver.theory_checks = ins_.solver_theory_checks->value();
-    stats_.solver.branches = ins_.solver_branches->value();
-    stats_.solver.unknowns = ins_.solver_unknowns->value();
-    stats_.solver.cache_hits = ins_.solver_cache_hits->value();
-    stats_.solver.cache_misses = ins_.solver_cache_misses->value();
-    stats_.solver.solve_ns = ins_.solver_solve_ns->value();
-    stats_.solver.budget_stops = ins_.solver_budget_stops->value();
+    if (query_cache_)
+        stats_.query_cache = query_cache_->stats();
+    if (inst_cache_)
+        stats_.inst_cache = inst_cache_->stats();
+    if (store_) {
+        FunctionStore::IoStats io = store_->ioStats();
+        stats_.store.active = true;
+        stats_.store.loaded_records = io.loaded_records;
+        stats_.store.failed_writes = io.failed_writes;
+        stats_.store.bytes_appended = io.bytes_appended;
+    }
+    for (const MetricRow &row : kMetricRows) {
+        const Instrument &in = instrument(row.id);
+        if (!row.stat.set)
+            continue;
+        if (row.scope == QueryCache || row.scope == InstCache) {
+            // Cache rows mirror the caches' own counters.
+            if (in.gauge)
+                in.gauge->set(static_cast<double>(row.stat.count(stats_)));
+        } else if (in.counter) {
+            row.stat.set(stats_, in.counter->value(), 0);
+        } else if (in.gauge) {
+            row.stat.set(stats_, 0, in.gauge->value());
+        } else if (in.histogram) {
+            row.stat.set(stats_, in.histogram->count(), in.histogram->sum());
+        }
+    }
 }
 
 std::vector<obs::FunctionCost>
@@ -283,8 +391,9 @@ Analyzer::recordToStore(const ir::Function &fn, FnStatus status,
     size_t n = store_->record({fn.name(), fn.fingerprint(),
                                store_config_fp_},
                               status, reason, defaulted, summary, reports);
-    if (n > 0 && ins_.store_record_bytes)
-        ins_.store_record_bytes->observe(static_cast<double>(n));
+    if (n > 0)
+        instrument(StoreRecordBytes).histogram->observe(
+            static_cast<double>(n));
 }
 
 std::vector<BugReport>
@@ -310,7 +419,7 @@ Analyzer::analyzeFunction(const ir::Function &fn, double deadline_seconds,
         // conservative default summary — the same weakening the paper
         // applies to truncated functions — and the run continues.
         storeDefaultSummary(fn);
-        ins_.functions_degraded->inc();
+        instrument(FunctionsDegraded).counter->inc();
         recordDiagnostic({fn.name(), FnStatus::Degraded, e.what()});
         recordToStore(fn, FnStatus::Degraded, e.what(), false, nullptr, {});
         return {};
@@ -334,9 +443,11 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         // Results are discarded, but solver counters (budget_stops in
         // particular) are observability and must survive the discard.
         fn_solver_stats += solver.stats();
-        addSolverStats(fn_solver_stats);
+        AnalyzerStats spent;
+        spent.solver = fn_solver_stats;
+        tally(spent);
         storeDefaultSummary(fn);
-        ins_.functions_timeout->inc();
+        instrument(FunctionsTimeout).counter->inc();
         std::string reason = std::string("budget: ") +
                              obs::budgetStopName(fn_budget.stopReason());
         recordDiagnostic({fn.name(), FnStatus::Timeout, reason});
@@ -445,7 +556,7 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
     // its validity proofs consume the function's remaining fuel and an
     // expiry degrades exactly like one inside IPP.
     summary::CompactionStats compaction;
-    if (opts_.compact_summaries) {
+    {
         obs::Span compact_span("phase", "summary-compact");
         compact_span.arg("fn", fn.name());
         compaction = summary::compactSummary(summary, solver);
@@ -459,23 +570,24 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
     db_.addComputed(std::move(summary));
 
     fn_solver_stats += solver.stats();
-    ins_.functions_analyzed->inc();
-    ins_.paths_enumerated->inc(num_paths);
-    ins_.entries_computed->inc(num_entries);
-    ins_.blocks_executed->inc(tree.blocks_executed);
-    ins_.state_forks->inc(tree.forks);
-    ins_.subtrees_pruned->inc(tree.subtrees_pruned);
-    ins_.entries_instantiated->inc(tree.entries_instantiated);
-    ins_.summary_entries_compacted->inc(compaction.merged +
-                                        compaction.dropped);
-    if (truncated) {
-        ins_.functions_truncated->inc();
+    AnalyzerStats done;
+    done.functions_analyzed = 1;
+    done.functions_truncated = truncated;
+    done.paths_enumerated = num_paths;
+    done.entries_computed = num_entries;
+    done.blocks_executed = tree.blocks_executed;
+    done.state_forks = tree.forks;
+    done.subtrees_pruned = tree.subtrees_pruned;
+    done.entries_instantiated = tree.entries_instantiated;
+    done.summary_entries_compacted = compaction.merged + compaction.dropped;
+    done.solver = fn_solver_stats;
+    tally(done);
+    if (truncated)
         recordDiagnostic({fn.name(), FnStatus::Truncated, trunc_reason});
-    }
-    ins_.paths_per_function->observe(static_cast<double>(num_paths));
-    ins_.symexec_seconds->observe(symexec_seconds);
-    ins_.ipp_seconds->observe(ipp_seconds);
-    addSolverStats(fn_solver_stats);
+    instrument(PathsPerFunction)
+        .histogram->observe(static_cast<double>(num_paths));
+    instrument(SymexecSeconds).histogram->observe(symexec_seconds);
+    instrument(IppSeconds).histogram->observe(ipp_seconds);
 
     if (opts_.profile_top_n > 0) {
         obs::FunctionCost cost;
@@ -531,8 +643,7 @@ Analyzer::run()
             classifier_ =
                 std::make_unique<FunctionClassifier>(mod_, cg, seeds);
     }
-    stats_.classify_seconds = secondsSince(t0);
-    ins_.classify_seconds->set(stats_.classify_seconds);
+    instrument(ClassifySeconds).gauge->set(secondsSince(t0));
     if (classifier_)
         stats_.categories = classifier_->stats();
 
@@ -636,10 +747,10 @@ Analyzer::run()
                 // Counters are not replayed (stats describe work actually
                 // done this run); diagnostics are, so truncation notes
                 // survive a resume.
-                ins_.store_hits->inc();
+                instrument(StoreHits).counter->inc();
                 if (action.defaulted) {
                     storeDefaultSummary(*fn);
-                    ins_.functions_defaulted->inc();
+                    instrument(FunctionsDefaulted).counter->inc();
                 } else {
                     obs::FailpointSuppressScope suppress;
                     db_.addComputed(std::move(action.summary));
@@ -652,20 +763,20 @@ Analyzer::run()
             if (action.plan == FunctionStore::Plan::Quarantine) {
                 // Retry ladder exhausted: conservative default summary,
                 // no symexec, and a provenance note saying why.
-                ins_.store_quarantined->inc();
+                instrument(StoreQuarantined).counter->inc();
                 storeDefaultSummary(*fn);
-                ins_.functions_degraded->inc();
+                instrument(FunctionsDegraded).counter->inc();
                 recordDiagnostic(
                     {fn->name(), FnStatus::Degraded, action.note});
                 return {};
             }
             if (store_ && tracked[node])
-                ins_.store_misses->inc();
+                instrument(StoreMisses).counter->inc();
 
             if (!shouldAnalyze(node, *fn)) {
                 if (tracked[node]) {
                     storeDefaultSummary(*fn);
-                    ins_.functions_defaulted->inc();
+                    instrument(FunctionsDefaulted).counter->inc();
                     recordToStore(*fn, FnStatus::Ok, "", true, nullptr,
                                   {});
                 }
@@ -677,7 +788,7 @@ Analyzer::run()
             // complete report.
             if (run_budget_->expiredNow()) {
                 storeDefaultSummary(*fn);
-                ins_.functions_timeout->inc();
+                instrument(FunctionsTimeout).counter->inc();
                 std::string reason =
                     std::string("run budget: ") +
                     obs::budgetStopName(run_budget_->stopReason());
@@ -689,7 +800,7 @@ Analyzer::run()
             double deadline = opts_.function_deadline_seconds;
             uint64_t fuel = opts_.function_solver_fuel;
             if (action.plan == FunctionStore::Plan::Retry) {
-                ins_.store_retries->inc();
+                instrument(StoreRetries).counter->inc();
                 deadline = action.retry_deadline_seconds;
                 fuel = action.retry_fuel;
             }
@@ -699,7 +810,7 @@ Analyzer::run()
             // analysis path (classification, summary storage, ...).
             if (tracked[node])
                 storeDefaultSummary(*fn);
-            ins_.functions_error->inc();
+            instrument(FunctionsError).counter->inc();
             recordDiagnostic({fn->name(), FnStatus::Error, e.what()});
             recordToStore(*fn, FnStatus::Error, e.what(), false, nullptr,
                           {});
@@ -764,9 +875,7 @@ Analyzer::run()
                 reports_.push_back(std::move(r));
     }
     storeCheckpoint();
-    stats_.analyze_seconds = secondsSince(t1);
-    ins_.analyze_seconds->set(stats_.analyze_seconds);
-    refreshStatsFromRegistry();
+    instrument(AnalyzeSeconds).gauge->set(secondsSince(t1));
     // Per-domain report accounting for this run (the registry's
     // counter() is get-or-create, so dynamically named per-domain
     // counters are safe to mint here).
@@ -779,63 +888,7 @@ Analyzer::run()
                       "Bug reports in effect domain '" + dom + "'.")
             .inc(n);
     }
-    if (query_cache_) {
-        stats_.query_cache = query_cache_->stats();
-        const auto &qc = stats_.query_cache;
-        metrics_
-            ->gauge("rid_query_cache_hits",
-                    "Shared query-cache hits (snapshot).")
-            .set(static_cast<double>(qc.hits));
-        metrics_
-            ->gauge("rid_query_cache_misses",
-                    "Shared query-cache misses (snapshot).")
-            .set(static_cast<double>(qc.misses));
-        metrics_
-            ->gauge("rid_query_cache_entries",
-                    "Resident query-cache entries.")
-            .set(static_cast<double>(qc.entries));
-        metrics_
-            ->gauge("rid_query_cache_evictions",
-                    "Query-cache evictions (snapshot).")
-            .set(static_cast<double>(qc.evictions));
-    }
-    if (inst_cache_) {
-        stats_.inst_cache = inst_cache_->stats();
-        const auto &ic = stats_.inst_cache;
-        metrics_
-            ->gauge("rid_inst_cache_hits",
-                    "Shared instantiation-cache hits (snapshot).")
-            .set(static_cast<double>(ic.hits));
-        metrics_
-            ->gauge("rid_inst_cache_misses",
-                    "Shared instantiation-cache misses (snapshot).")
-            .set(static_cast<double>(ic.misses));
-        metrics_
-            ->gauge("rid_inst_cache_entries",
-                    "Resident instantiation-cache entries.")
-            .set(static_cast<double>(ic.entries));
-        metrics_
-            ->gauge("rid_inst_cache_evictions",
-                    "Instantiation-cache evictions (snapshot).")
-            .set(static_cast<double>(ic.evictions));
-    }
-    if (store_) {
-        FunctionStore::IoStats io = store_->ioStats();
-        // Sync by delta against the last snapshot: repeated run() calls
-        // against one Analyzer must not double-count.
-        ins_.store_torn_frames->inc(io.torn_frames -
-                                    store_io_synced_.torn_frames);
-        store_io_synced_ = io;
-        stats_.store.active = true;
-        stats_.store.hits = ins_.store_hits->value();
-        stats_.store.misses = ins_.store_misses->value();
-        stats_.store.retried = ins_.store_retries->value();
-        stats_.store.quarantined = ins_.store_quarantined->value();
-        stats_.store.torn_frames = io.torn_frames;
-        stats_.store.loaded_records = io.loaded_records;
-        stats_.store.failed_writes = io.failed_writes;
-        stats_.store.bytes_appended = io.bytes_appended;
-    }
+    snapshotStats();
 }
 
 } // namespace rid::analysis

@@ -197,19 +197,10 @@ struct AnalyzerOptions
      *  on, outputs are independent of drop_seed; off restores the
      *  paper's seeded-random drop for differential testing. */
     bool deterministic_drop = true;
-    /** Compact each computed summary before it enters the database:
-     *  merge entries indistinguishable at every call boundary (identical
-     *  changes/stores/ret) into one disjunctive entry and drop entries
-     *  with unsatisfiable constraints. Runs after report generation and
-     *  the summary check, so reports and diagnostics are byte-identical
-     *  with the pass on or off — pinned by the determinism suite. */
-    bool compact_summaries = true;
     /** Hash-cons callee-entry instantiations in a sharded cache shared
      *  across all path and SCC workers (summary/inst_cache.h).
      *  Semantically invisible; only instantiation cost changes. */
     bool intern_instantiations = true;
-    /** Capacity of the shared instantiation cache (entries). */
-    size_t inst_cache_capacity = 1 << 16;
     /** Effect domains to check (summary/domain.h); empty = all declared
      *  domains. Effects of unlisted domains are stripped from computed
      *  summaries and their seed specs are ignored by the classifier, so
@@ -220,8 +211,6 @@ struct AnalyzerOptions
      *  path-level workers and the IPP phase. Results are identical with
      *  the cache on or off; only repeated-query cost changes. */
     bool use_query_cache = true;
-    /** Capacity of the shared query cache (entries). */
-    size_t query_cache_capacity = 1 << 16;
     /** Optional stronger-property check run on every computed summary
      *  (Sections 2.1 / 4.5); its reports are appended to the IPP ones.
      *  See makeEscapeRuleCheck(). */
@@ -244,10 +233,6 @@ struct AnalyzerOptions
     /** Injected tracer (tests / embedding). When null, the Analyzer
      *  creates one iff trace_path is set. */
     std::shared_ptr<obs::Tracer> tracer;
-    /** Injected metrics registry; a fresh one is created when null.
-     *  Counters are cumulative, so share one registry per run if the
-     *  derived AnalyzerStats should describe a single run. */
-    std::shared_ptr<obs::MetricsRegistry> metrics;
     /** Wall-clock allowance for the whole run (0 = unlimited). Functions
      *  reached after expiry get the default summary and a Timeout
      *  diagnostic; the run itself always completes. */
@@ -298,6 +283,17 @@ struct AnalyzerOptions
     int triage_max_extension_functions = 64;
 };
 
+/** Row ids of the run-metric table in analyzer.cc: one row per registry
+ *  counter, gauge and histogram an Analyzer owns. */
+enum class RunMetric : uint8_t;
+
+/**
+ * A run's statistics. The analyzer's metrics registry is the live
+ * accumulator; Analyzer::snapshotStats() fills every field that has a
+ * row in the run-metric table (analyzer.cc) from it. The categories,
+ * per-domain report counts and store I/O fields come from the
+ * classifier, the run's reports and the store.
+ */
 struct AnalyzerStats
 {
     ClassifierStats categories;
@@ -421,6 +417,12 @@ class Analyzer
         return metrics_;
     }
 
+    /** Fill stats() from the registry and set the cache gauges from the
+     *  caches' current counters. run() ends with it; call it again after
+     *  a later pass shares the caches (triage) so stats() and the
+     *  exposition both see that traffic. */
+    void snapshotStats();
+
     /** Per-function cost records (empty when profile_top_n == 0).
      *  Deterministically ordered by function name. */
     std::vector<obs::FunctionCost> functionCosts() const;
@@ -434,44 +436,14 @@ class Analyzer
     const obs::Budget *runBudget() const { return run_budget_.get(); }
 
   private:
-    /** Registry-backed instruments, resolved once in the constructor so
-     *  hot paths skip the registry's name lookup. */
-    struct Instruments
+    /** The registry instrument behind one run-metric row; only the
+     *  pointer of the row's kind is set, none when the row is not
+     *  registered for this analyzer (store rows without a store). */
+    struct Instrument
     {
-        obs::Counter *functions_analyzed;
-        obs::Counter *functions_defaulted;
-        obs::Counter *functions_truncated;
-        obs::Counter *functions_timeout;
-        obs::Counter *functions_degraded;
-        obs::Counter *functions_error;
-        obs::Counter *solver_budget_stops;
-        obs::Counter *paths_enumerated;
-        obs::Counter *entries_computed;
-        obs::Counter *blocks_executed;
-        obs::Counter *state_forks;
-        obs::Counter *subtrees_pruned;
-        obs::Counter *entries_instantiated;
-        obs::Counter *summary_entries_compacted;
-        obs::Counter *solver_queries;
-        obs::Counter *solver_theory_checks;
-        obs::Counter *solver_branches;
-        obs::Counter *solver_unknowns;
-        obs::Counter *solver_cache_hits;
-        obs::Counter *solver_cache_misses;
-        obs::Counter *solver_solve_ns;
-        obs::Gauge *classify_seconds;
-        obs::Gauge *analyze_seconds;
-        obs::Histogram *paths_per_function;
-        obs::Histogram *symexec_seconds;
-        obs::Histogram *ipp_seconds;
-        obs::Histogram *solver_query_seconds;
-        /** Store instruments; null when no store is configured. */
-        obs::Counter *store_hits = nullptr;
-        obs::Counter *store_misses = nullptr;
-        obs::Counter *store_retries = nullptr;
-        obs::Counter *store_quarantined = nullptr;
-        obs::Counter *store_torn_frames = nullptr;
-        obs::Histogram *store_record_bytes = nullptr;
+        obs::Counter *counter = nullptr;
+        obs::Gauge *gauge = nullptr;
+        obs::Histogram *histogram = nullptr;
     };
 
     /** Analyze one function and store its summary; returns its reports.
@@ -497,11 +469,13 @@ class Analyzer
      *  tracing option and (optionally) a budget. */
     smt::Solver makeSolver(const obs::Budget *budget = nullptr) const;
 
-    /** Add one (sub)run's solver counters to the registry. */
-    void addSolverStats(const smt::Solver::Stats &s);
+    const Instrument &instrument(RunMetric m) const
+    {
+        return instruments_[static_cast<size_t>(m)];
+    }
 
-    /** Derive the legacy AnalyzerStats counters from the registry. */
-    void refreshStatsFromRegistry();
+    /** Add every counter field of @p delta to its registry counter. */
+    void tally(const AnalyzerStats &delta) const;
 
     /** Persist one function's outcome to the store (no-op without one).
      *  Never throws; a storage fault is the store's to absorb. */
@@ -523,8 +497,10 @@ class Analyzer
     std::shared_ptr<smt::QueryCache> query_cache_;
     std::shared_ptr<summary::InstCache> inst_cache_;
     std::shared_ptr<obs::Tracer> tracer_;
-    std::shared_ptr<obs::MetricsRegistry> metrics_;
-    Instruments ins_;
+    std::shared_ptr<obs::MetricsRegistry> metrics_ =
+        std::make_shared<obs::MetricsRegistry>();
+    /** Indexed by RunMetric. */
+    std::vector<Instrument> instruments_;
     std::vector<obs::FunctionCost> function_costs_;
     std::vector<FunctionDiagnostic> diagnostics_;
     std::unique_ptr<obs::Budget> run_budget_;
@@ -537,9 +513,6 @@ class Analyzer
      *  resuming). Read-only (per-node moves aside) during the traversal,
      *  so workers need no lock. */
     std::vector<FunctionStore::Action> resume_plan_;
-    /** Store ioStats() snapshot already synced into the registry (keeps
-     *  repeated run() calls from double-counting). */
-    FunctionStore::IoStats store_io_synced_;
 };
 
 } // namespace rid::analysis

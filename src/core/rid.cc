@@ -537,10 +537,11 @@ Rid::run()
                                 analyzer.callGraph());
         pass.run(result.reports);
         result.triage = pass.stats();
-        // The cache snapshot in AnalyzerStats predates the pass; refresh
-        // it so statsJson's cross-pass counters see the triage traffic.
-        if (analyzer.queryCache())
-            result.stats.query_cache = analyzer.queryCache()->stats();
+        // The analyzer's snapshot predates the pass; retake it so
+        // statsJson's cross-pass counters and the exposition's cache
+        // gauges both see the triage traffic.
+        analyzer.snapshotStats();
+        result.stats = analyzer.stats();
     }
     if (!opts_.trace_path.empty() && analyzer.tracer())
         writeTextFile(opts_.trace_path,

@@ -9,10 +9,10 @@
  * pay a few atomic adds per update. The registry map itself is
  * mutex-guarded; instrument it once, cache the reference.
  *
- * The analyzer keeps one registry per run and fills the legacy
- * AnalyzerStats struct from it when the run finishes, so the
- * RunResult::statsJson() schema is unchanged while every counter gains
- * a Prometheus exposition.
+ * Each Analyzer owns one registry, the only accumulator of its run
+ * statistics: its metrics are declared once, in the run-metric table in
+ * analysis/analyzer.cc, and AnalyzerStats (hence RunResult::str() and
+ * statsJson()) is a snapshot of them.
  */
 
 #ifndef RID_OBS_METRICS_H

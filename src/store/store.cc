@@ -290,14 +290,15 @@ configFingerprint(const summary::SummaryDb &db,
     h = fpCombine(h, static_cast<uint64_t>(opts.classify));
     h = fpCombine(h, opts.drop_seed);
     // Semantics-affecting toggles of the compaction/interning PR:
-    // deterministic_drop changes which IPP entry is dropped and
-    // compact_summaries changes the stored summary shape, so a resume
-    // across a flip must re-analyze. intern_instantiations is
-    // output-invisible but hashed anyway — flipping it mid-store is a
-    // config change, and a spurious re-analysis is cheaper than trusting
-    // the differential suite forever.
+    // deterministic_drop changes which IPP entry is dropped, so a resume
+    // across a flip must re-analyze. Summary compaction, once a toggle
+    // too, is always on; its constant 1 keeps existing stores keyed.
+    // intern_instantiations is output-invisible but hashed anyway —
+    // flipping it mid-store is a config change, and a spurious
+    // re-analysis is cheaper than trusting the differential suite
+    // forever.
     h = fpCombine(h, static_cast<uint64_t>(opts.deterministic_drop));
-    h = fpCombine(h, static_cast<uint64_t>(opts.compact_summaries));
+    h = fpCombine(h, uint64_t{1});
     h = fpCombine(h, static_cast<uint64_t>(opts.intern_instantiations));
     h = fpCombine(h, static_cast<uint64_t>(opts.enabled_domains.size()));
     for (const auto &d : opts.enabled_domains)

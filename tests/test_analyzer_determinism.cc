@@ -15,7 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "analysis/paths.h"
@@ -28,6 +33,7 @@
 #include "kernel/score.h"
 #include "obs/failpoint.h"
 #include "obs/provenance.h"
+#include "obs_test_util.h"
 #include "smt/intern.h"
 #include "summary/spec.h"
 
@@ -76,14 +82,12 @@ runDigest(const kernel::Corpus &corpus, int threads, int path_threads,
           double fn_deadline = 0, uint64_t solver_fuel = 0,
           const std::string &failpoints = "",
           const std::vector<std::string> &enabled_domains = {},
-          bool load_domain_specs = false, bool compact = true,
-          bool intern = true)
+          bool load_domain_specs = false, bool intern = true)
 {
     analysis::AnalyzerOptions opts;
     opts.threads = threads;
     opts.path_threads = path_threads;
     opts.use_query_cache = cache;
-    opts.compact_summaries = compact;
     opts.intern_instantiations = intern;
     opts.run_deadline_seconds = run_deadline;
     opts.function_deadline_seconds = fn_deadline;
@@ -134,6 +138,224 @@ stripSummaries(const std::string &digest)
         diagnostics == std::string::npos)
         return digest;
     return digest.substr(0, summaries) + digest.substr(diagnostics);
+}
+
+/** A Prometheus exposition as the registry tests read it. */
+struct Exposition
+{
+    /** Unlabelled samples by name: counters, gauges and each
+     *  histogram's `_sum` and `_count` (buckets are skipped). */
+    std::map<std::string, std::string> samples;
+    /** Metric names declared by `# TYPE` lines. */
+    std::set<std::string> names;
+    /** Digest of the sorted `# HELP` and `# TYPE` lines. */
+    std::string schema_digest;
+
+    /** The value text of sample @p name ("" when absent). */
+    std::string
+    sample(const std::string &name) const
+    {
+        auto it = samples.find(name);
+        return it == samples.end() ? "" : it->second;
+    }
+};
+
+Exposition
+parseExposition(const std::string &text)
+{
+    Exposition e;
+    std::vector<std::string> schema;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("# ", 0) == 0) {
+            schema.push_back(line);
+            if (line.rfind("# TYPE ", 0) == 0)
+                e.names.insert(line.substr(7, line.find(' ', 7) - 7));
+            continue;
+        }
+        size_t space = line.rfind(' ');
+        std::string name = line.substr(0, space);
+        if (name.find('{') == std::string::npos)
+            e.samples[name] = line.substr(space + 1);
+    }
+    std::sort(schema.begin(), schema.end());
+    std::string joined;
+    for (const auto &line : schema)
+        joined += line + "\n";
+    e.schema_digest = obs::fpHex(smt::fpBytes(joined));
+    return e;
+}
+
+/** The number at dotted @p path of a statsJson document. */
+double
+jsonNumber(const testutil::JsonValue &doc, const std::string &path)
+{
+    const testutil::JsonValue *v = &doc;
+    std::istringstream keys(path);
+    for (std::string key; v && std::getline(keys, key, '.');)
+        v = v->find(key);
+    EXPECT_NE(v, nullptr) << path;
+    return v ? v->number : -1;
+}
+
+/** @p v as statsJson prints it: counters exactly, doubles at stream
+ *  precision. */
+double
+asPrintedInJson(double v)
+{
+    if (v == std::floor(v))
+        return v;
+    std::ostringstream os;
+    os << v;
+    return std::stod(os.str());
+}
+
+using Stats = analysis::AnalyzerStats;
+
+/**
+ * The analyzer's run-metric table as its readers see it: each row's
+ * exposition sample, the AnalyzerStats field it fills (null: none) and
+ * the statsJson key printing that field (null: none), which holds the
+ * field times @p json_scale.
+ */
+struct MetricMirror
+{
+    const char *sample;
+    double (*stat)(const Stats &);
+    const char *json;
+    double json_scale = 1;
+};
+
+const MetricMirror kMetricMirror[] = {
+    {"rid_functions_analyzed_total",
+     [](const Stats &s) -> double { return s.functions_analyzed; },
+     "functions.analyzed"},
+    {"rid_functions_defaulted_total",
+     [](const Stats &s) -> double { return s.functions_defaulted; },
+     "functions.defaulted"},
+    {"rid_functions_truncated_total",
+     [](const Stats &s) -> double { return s.functions_truncated; },
+     "functions.truncated"},
+    {"rid_functions_timeout_total",
+     [](const Stats &s) -> double { return s.functions_timeout; },
+     "diagnostics.counts.timeout"},
+    {"rid_functions_degraded_total",
+     [](const Stats &s) -> double { return s.functions_degraded; },
+     "diagnostics.counts.degraded"},
+    {"rid_functions_error_total",
+     [](const Stats &s) -> double { return s.functions_error; },
+     "diagnostics.counts.error"},
+    {"rid_paths_enumerated_total",
+     [](const Stats &s) -> double { return s.paths_enumerated; },
+     "paths_enumerated"},
+    {"rid_entries_computed_total",
+     [](const Stats &s) -> double { return s.entries_computed; },
+     "entries_computed"},
+    {"rid_blocks_executed_total",
+     [](const Stats &s) -> double { return s.blocks_executed; },
+     "blocks_executed"},
+    {"rid_state_forks_total",
+     [](const Stats &s) -> double { return s.state_forks; }, "state_forks"},
+    {"rid_subtrees_pruned_total",
+     [](const Stats &s) -> double { return s.subtrees_pruned; },
+     "subtrees_pruned"},
+    {"rid_entries_instantiated_total",
+     [](const Stats &s) -> double { return s.entries_instantiated; },
+     "entries_instantiated"},
+    {"rid_summary_entries_compacted_total",
+     [](const Stats &s) -> double { return s.summary_entries_compacted; },
+     "summary_entries_compacted"},
+    {"rid_solver_queries_total",
+     [](const Stats &s) -> double { return s.solver.queries; },
+     "solver.queries"},
+    {"rid_solver_theory_checks_total",
+     [](const Stats &s) -> double { return s.solver.theory_checks; },
+     "solver.theory_checks"},
+    {"rid_solver_branches_total",
+     [](const Stats &s) -> double { return s.solver.branches; },
+     "solver.branches"},
+    {"rid_solver_unknowns_total",
+     [](const Stats &s) -> double { return s.solver.unknowns; },
+     "solver.unknowns"},
+    {"rid_solver_cache_hits_total",
+     [](const Stats &s) -> double { return s.solver.cache_hits; },
+     "solver.cache_hits"},
+    {"rid_solver_cache_misses_total",
+     [](const Stats &s) -> double { return s.solver.cache_misses; },
+     "solver.cache_misses"},
+    {"rid_solver_solve_ns_total",
+     [](const Stats &s) -> double { return s.solver.solve_ns; },
+     "solver.solve_seconds", 1e-9},
+    {"rid_solver_budget_stops_total",
+     [](const Stats &s) -> double { return s.solver.budget_stops; },
+     nullptr},
+    {"rid_classify_seconds",
+     [](const Stats &s) { return s.classify_seconds; },
+     "phases.classify_seconds"},
+    {"rid_analyze_seconds", [](const Stats &s) { return s.analyze_seconds; },
+     "phases.analyze_seconds"},
+    {"rid_paths_per_function_count",
+     [](const Stats &s) -> double { return s.functions_analyzed; },
+     "functions.analyzed"},
+    {"rid_paths_per_function_sum",
+     [](const Stats &s) -> double { return s.paths_enumerated; },
+     "paths_enumerated"},
+    {"rid_symexec_seconds_sum",
+     [](const Stats &s) { return s.symexec_seconds; },
+     "phases.symexec_seconds"},
+    {"rid_ipp_seconds_sum", [](const Stats &s) { return s.ipp_seconds; },
+     "phases.ipp_seconds"},
+    {"rid_solver_query_seconds_count", nullptr, nullptr},
+    {"rid_query_cache_hits",
+     [](const Stats &s) -> double { return s.query_cache.hits; },
+     "query_cache.hits"},
+    {"rid_query_cache_misses",
+     [](const Stats &s) -> double { return s.query_cache.misses; },
+     "query_cache.misses"},
+    {"rid_query_cache_entries",
+     [](const Stats &s) -> double { return s.query_cache.entries; },
+     "query_cache.entries"},
+    {"rid_query_cache_evictions",
+     [](const Stats &s) -> double { return s.query_cache.evictions; },
+     "query_cache.evictions"},
+    {"rid_inst_cache_hits",
+     [](const Stats &s) -> double { return s.inst_cache.hits; },
+     "inst_cache.hits"},
+    {"rid_inst_cache_misses",
+     [](const Stats &s) -> double { return s.inst_cache.misses; },
+     "inst_cache.misses"},
+    {"rid_inst_cache_entries",
+     [](const Stats &s) -> double { return s.inst_cache.entries; },
+     "inst_cache.entries"},
+    {"rid_inst_cache_evictions",
+     [](const Stats &s) -> double { return s.inst_cache.evictions; },
+     "inst_cache.evictions"},
+    {"rid_store_hits_total",
+     [](const Stats &s) -> double { return s.store.hits; }, "store.hits"},
+    {"rid_store_misses_total",
+     [](const Stats &s) -> double { return s.store.misses; },
+     "store.misses"},
+    {"rid_store_retries_total",
+     [](const Stats &s) -> double { return s.store.retried; },
+     "store.retried"},
+    {"rid_store_quarantined_total",
+     [](const Stats &s) -> double { return s.store.quarantined; },
+     "store.quarantined"},
+    {"rid_store_torn_frames_total",
+     [](const Stats &s) -> double { return s.store.torn_frames; },
+     "store.torn_frames"},
+    {"rid_store_record_bytes_count", nullptr, nullptr},
+};
+
+/** The metric a mirrored sample belongs to (a histogram's `_sum` or
+ *  `_count` sample names its histogram). */
+std::string
+metricOf(std::string sample)
+{
+    for (const std::string suffix : {"_sum", "_count"})
+        if (sample.ends_with(suffix))
+            return sample.substr(0, sample.size() - suffix.size());
+    return sample;
 }
 
 /**
@@ -467,24 +689,15 @@ TEST_F(AnalyzerDeterminismTest, MultiDomainScanIsByteIdentical)
 TEST_F(AnalyzerDeterminismTest, CompactionPreservesReportsAndDiagnostics)
 {
     // Summary compaction merges call-boundary-indistinguishable entries
-    // AFTER the function's own reports and diagnostics are final, so
-    // toggling it may only change the summary export — reports and
-    // diagnostics must stay byte-identical to the uncompacted run,
-    // across thread counts.
-    std::string baseline = stripSummaries(
-        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, "", {}, false,
-                  /*compact=*/false));
-    ASSERT_FALSE(baseline.empty());
+    // AFTER the function's own reports and diagnostics are final. The
+    // reports and diagnostics are pinned by a digest recorded when
+    // compaction could still be switched off and the uncompacted run was
+    // asserted byte-identical to the compacted one, across thread counts.
     for (int threads : {1, 4}) {
-        for (bool compact : {false, true}) {
-            if (threads == 1 && !compact)
-                continue;  // the baseline itself
-            EXPECT_EQ(stripSummaries(runDigest(corpus_, threads, threads,
-                                               false, false, 0, 0, 0, "",
-                                               {}, false, compact)),
-                      baseline)
-                << "threads=" << threads << " compact=" << compact;
-        }
+        std::string digest = stripSummaries(
+            runDigest(corpus_, threads, threads, false));
+        EXPECT_EQ(obs::fpHex(smt::fpBytes(digest)), "0x7d14b490b4f11735")
+            << "threads=" << threads;
     }
 }
 
@@ -493,18 +706,17 @@ TEST_F(AnalyzerDeterminismTest, InterningIsByteIdenticalIncludingSummaries)
     // The instantiation cache is pure memoization: a hit returns exactly
     // what a fresh instantiate() would have produced, so the FULL digest
     // — reports, summaries and diagnostics — is byte-identical with the
-    // cache off and on, across thread counts. (Compaction is off so the
-    // summaries section exercises the raw per-entry path.)
-    std::string baseline =
-        runDigest(corpus_, 1, 1, false, false, 0, 0, 0, "", {}, false,
-                  /*compact=*/false, /*intern=*/false);
-    ASSERT_FALSE(baseline.empty());
+    // cache off and on, across thread counts, and equal to a recorded
+    // digest.
+    std::string baseline = runDigest(corpus_, 1, 1, false, false, 0, 0, 0,
+                                     "", {}, false, /*intern=*/false);
+    EXPECT_EQ(obs::fpHex(smt::fpBytes(baseline)), "0x117e6708f9d8b74f");
     for (int threads : {1, 4}) {
         for (bool intern : {false, true}) {
             if (threads == 1 && !intern)
                 continue;  // the baseline itself
             EXPECT_EQ(runDigest(corpus_, threads, threads, false, false, 0,
-                                0, 0, "", {}, false, false, intern),
+                                0, 0, "", {}, false, intern),
                       baseline)
                 << "threads=" << threads << " intern=" << intern;
         }
@@ -596,12 +808,89 @@ class InjectedDeterminismTest : public ::testing::Test
         return digest;
     }
 
+    /** One run over the injected + FP-inducer corpus with a metrics
+     *  dump: its result, exposition and parsed statsJson. */
+    struct MetricsRun
+    {
+        RunResult result;
+        Exposition exposition;
+        testutil::JsonValue json;
+    };
+
+    /** Scratch path of the running test (ctest runs tests concurrently). */
+    static std::string
+    tempPath(const std::string &suffix)
+    {
+        return testing::TempDir() +
+               testing::UnitTest::GetInstance()->current_test_info()->name() +
+               suffix;
+    }
+
+    static MetricsRun
+    metricsRun(analysis::AnalyzerOptions opts)
+    {
+        opts.metrics_path = tempPath(".prom");
+        Rid tool(opts);
+        tool.loadSpecText(kernel::dpmSpecText());
+        tool.loadSpecText(kernel::lockSpecText());
+        tool.loadSpecText(kernel::allocSpecText());
+        for (const auto &file : triage_injected_.corpus.files)
+            tool.addSource(file.text);
+        MetricsRun run;
+        run.result = tool.run();
+        std::ifstream in(opts.metrics_path);
+        std::stringstream text;
+        text << in.rdbuf();
+        run.exposition = parseExposition(text.str());
+        EXPECT_TRUE(
+            testutil::JsonParser(run.result.statsJson()).parse(run.json));
+        return run;
+    }
+
+    /** Every run metric of @p run reads alike in the exposition, in
+     *  AnalyzerStats and in statsJson, and the exposition holds exactly
+     *  the mirrored metrics (store ones iff @p store) plus the
+     *  per-domain report counters. */
+    static void
+    expectOneSource(const MetricsRun &run, bool store)
+    {
+        const Stats &stats = run.result.stats;
+        std::set<std::string> expected;
+        for (const MetricMirror &row : kMetricMirror) {
+            std::string sample = row.sample;
+            if (!store && sample.starts_with("rid_store_"))
+                continue;
+            expected.insert(metricOf(sample));
+            std::string text = run.exposition.sample(sample);
+            if (text.empty()) {
+                ADD_FAILURE() << "no sample " << sample;
+                continue;
+            }
+            if (!row.stat)
+                continue;
+            double value = row.stat(stats);
+            EXPECT_EQ(std::stod(text), value) << sample;
+            if (row.json) {
+                EXPECT_EQ(jsonNumber(run.json, row.json),
+                          asPrintedInJson(value * row.json_scale))
+                    << sample;
+            }
+        }
+        for (const auto &[dom, n] : stats.reports_by_domain) {
+            std::string sample = "rid_reports_" + dom + "_total";
+            expected.insert(sample);
+            EXPECT_EQ(run.exposition.sample(sample), std::to_string(n));
+            EXPECT_EQ(jsonNumber(run.json, "domains." + dom + ".reports"),
+                      static_cast<double>(n));
+        }
+        EXPECT_EQ(run.exposition.names, expected);
+    }
+
     static ScoredRun
-    run(int path_threads, bool compact = true, bool intern = true)
+    run(int path_threads, bool intern = true)
     {
         analysis::AnalyzerOptions opts;
         opts.path_threads = path_threads;
-        opts.compact_summaries = compact;
         opts.intern_instantiations = intern;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
@@ -685,26 +974,75 @@ TEST_F(InjectedDeterminismTest, InjectedScoresAreThreadInvariant)
 TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
 {
     // Ground-truth scores on the injected corpus must survive both
-    // perf attacks: report digests and per-domain precision/recall are
-    // identical with compaction and interning toggled in every
-    // combination, across path_threads {1, 4}.
-    ScoredRun baseline = run(1, /*compact=*/false, /*intern=*/false);
-    ASSERT_FALSE(baseline.digest.empty());
+    // perf attacks: report digests and precision/recall are identical
+    // with interning off and on across path_threads {1, 4}, and equal to
+    // what was recorded when compaction could still be switched off and
+    // every compaction x interning combination was asserted identical.
+    ScoredRun baseline = run(1, /*intern=*/false);
+    EXPECT_EQ(obs::fpHex(smt::fpBytes(baseline.digest)), "0x150985d6ffe1ee99");
+    EXPECT_EQ(baseline.score.total.tp, 47);
+    EXPECT_EQ(baseline.score.total.fp, 0);
+    EXPECT_EQ(baseline.score.total.fn, 0);
     for (int path_threads : {1, 4}) {
-        for (bool compact : {false, true}) {
-            for (bool intern : {false, true}) {
-                if (path_threads == 1 && !compact && !intern)
-                    continue;  // the baseline itself
-                ScoredRun other = run(path_threads, compact, intern);
-                EXPECT_EQ(other.digest, baseline.digest)
-                    << "path_threads=" << path_threads
-                    << " compact=" << compact << " intern=" << intern;
-                EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
-                EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
-                EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
-            }
+        for (bool intern : {false, true}) {
+            if (path_threads == 1 && !intern)
+                continue;  // the baseline itself
+            ScoredRun other = run(path_threads, intern);
+            EXPECT_EQ(other.digest, baseline.digest)
+                << "path_threads=" << path_threads << " intern=" << intern;
+            EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
+            EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
+            EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
         }
     }
+}
+
+TEST_F(InjectedDeterminismTest, RegistryIsTheSingleStatsSource)
+{
+    // The metrics registry is the one accumulator of run statistics:
+    // every run metric reads alike in the Prometheus exposition, in
+    // AnalyzerStats and in statsJson on a plain, a triaged, a cold-store
+    // and a warm-resume run. The exposition's names and help texts are
+    // pinned by a digest of its sorted HELP/TYPE lines.
+    analysis::AnalyzerOptions opts;
+    opts.threads = 4;
+    MetricsRun plain = metricsRun(opts);
+    expectOneSource(plain, /*store=*/false);
+    EXPECT_EQ(plain.exposition.schema_digest, "0x99aefaa3cd11cff5");
+
+    opts.triage = true;
+    MetricsRun triaged = metricsRun(opts);
+    EXPECT_TRUE(triaged.result.triage.ran);
+    expectOneSource(triaged, /*store=*/false);
+    EXPECT_EQ(triaged.exposition.schema_digest, "0x99aefaa3cd11cff5");
+
+    opts.triage = false;
+    opts.store_path = tempPath(".store");
+    std::filesystem::remove_all(opts.store_path);
+    MetricsRun cold = metricsRun(opts);
+    opts.resume = true;
+    MetricsRun warm = metricsRun(opts);
+    std::filesystem::remove_all(opts.store_path);
+    EXPECT_GT(warm.result.stats.store.hits, 0u);
+    for (const MetricsRun *run : {&cold, &warm}) {
+        expectOneSource(*run, /*store=*/true);
+        EXPECT_EQ(run->exposition.schema_digest, "0x900139ccc7288752");
+    }
+}
+
+TEST_F(InjectedDeterminismTest, TriagedRunCacheGaugesMatchStatsJson)
+{
+    // The triage pass shares the run's query cache, so the metrics dump
+    // written after it must carry the cache counters statsJson reports.
+    analysis::AnalyzerOptions opts;
+    opts.triage = true;
+    MetricsRun run = metricsRun(opts);
+    ASSERT_TRUE(run.result.triage.ran);
+    EXPECT_GT(run.result.triage.solver.cache_hits, 0u);
+    for (std::string key : {"hits", "misses", "entries", "evictions"})
+        EXPECT_EQ(std::stod(run.exposition.sample("rid_query_cache_" + key)),
+                  jsonNumber(run.json, "query_cache." + key))
+            << key;
 }
 
 TEST_F(InjectedDeterminismTest, TreeMatchesReferenceExecutor)
