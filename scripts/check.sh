@@ -7,6 +7,8 @@
 # compares threads {1,4} x query-cache {on,off} x tracing {off,on});
 # running the binary twice catches run-to-run nondeterminism that a single
 # in-process comparison cannot (e.g. ASLR-dependent container ordering).
+# The ridc byte-identity CLI test then runs ten times under ctest -j4
+# beside the injected-corpus determinism tests.
 # The determinism suite also carries the engine oracle: every analyzed
 # function re-executed under the tree executor and under the
 # enumerate-then-replay reference executor, entry lists equal, plus
@@ -72,6 +74,15 @@ echo "== determinism suite, run 1/2 =="
 ./build/tests/test_analyzer_determinism
 echo "== determinism suite, run 2/2 =="
 ./build/tests/test_analyzer_determinism
+
+# The ridc byte-identity test (stdout, export, journal and store frames
+# across --threads {1,4}) repeated under load beside the injected-corpus
+# determinism suite: a scheduling-dependent field fails here rather than
+# as an occasional tier-1 flake.
+echo "== ridc byte identity under load (10 repeats) =="
+byte_identity='RidcCli\.OutputIsByteIdenticalAcrossThreadsAndRepeats'
+(cd build && ctest -j4 --repeat until-fail:10 --no-tests=error \
+    --output-on-failure -R "$byte_identity|InjectedDeterminismTest\.")
 
 echo "== robustness chaos suite =="
 ./build/tests/test_robustness_chaos

@@ -371,13 +371,18 @@ Analyzer::recordDiagnostic(FunctionDiagnostic d)
 }
 
 void
-Analyzer::storeDefaultSummary(const ir::Function &fn)
+Analyzer::fallBackToDefault(const ir::Function &fn, FnStatus status,
+                            const std::string &reason)
 {
-    // Recovery must not be re-injected: building the default entry interns
-    // expressions, which is itself a failpoint site.
-    obs::FailpointSuppressScope suppress;
-    db_.addComputed(summary::FunctionSummary::defaultFor(
-        fn.name(), fn.returnsValue()));
+    // A declaration has no body to stand in for.
+    if (!fn.isDeclaration())
+        db_.addDefault(fn.name(), fn.returnsValue());
+    RunMetric counter = status == FnStatus::Timeout    ? FunctionsTimeout
+                        : status == FnStatus::Degraded ? FunctionsDegraded
+                                                       : FunctionsError;
+    instrument(counter).counter->inc();
+    recordDiagnostic({fn.name(), status, reason});
+    recordToStore(fn, status, reason, false, nullptr, {});
 }
 
 void
@@ -418,10 +423,7 @@ Analyzer::analyzeFunction(const ir::Function &fn, double deadline_seconds,
         // problem) is confined to it. The function is degraded to the
         // conservative default summary — the same weakening the paper
         // applies to truncated functions — and the run continues.
-        storeDefaultSummary(fn);
-        instrument(FunctionsDegraded).counter->inc();
-        recordDiagnostic({fn.name(), FnStatus::Degraded, e.what()});
-        recordToStore(fn, FnStatus::Degraded, e.what(), false, nullptr, {});
+        fallBackToDefault(fn, FnStatus::Degraded, e.what());
         return {};
     }
 }
@@ -446,12 +448,9 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         AnalyzerStats spent;
         spent.solver = fn_solver_stats;
         tally(spent);
-        storeDefaultSummary(fn);
-        instrument(FunctionsTimeout).counter->inc();
-        std::string reason = std::string("budget: ") +
-                             obs::budgetStopName(fn_budget.stopReason());
-        recordDiagnostic({fn.name(), FnStatus::Timeout, reason});
-        recordToStore(fn, FnStatus::Timeout, reason, false, nullptr, {});
+        fallBackToDefault(fn, FnStatus::Timeout,
+                          std::string("budget: ") +
+                              obs::budgetStopName(fn_budget.stopReason()));
         return {};
     };
 
@@ -531,11 +530,8 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         // Limits cut the analysis short: weaken with the default entry so
         // callers never trust an incomplete summary too much
         // (Section 5.2).
-        summary::SummaryEntry dflt;
-        dflt.cons = smt::Formula::top();
-        if (fn.returnsValue())
-            dflt.ret = smt::Expr::ret();
-        summary.entries.push_back(std::move(dflt));
+        summary.entries.push_back(
+            summary::SummaryEntry::defaultEntry(fn.returnsValue()));
     }
     // With pruning the path cap counts feasible completed paths only;
     // say how many infeasible subtrees were skipped before it filled,
@@ -749,7 +745,7 @@ Analyzer::run()
                 // survive a resume.
                 instrument(StoreHits).counter->inc();
                 if (action.defaulted) {
-                    storeDefaultSummary(*fn);
+                    db_.addDefault(fn->name(), fn->returnsValue());
                     instrument(FunctionsDefaulted).counter->inc();
                 } else {
                     obs::FailpointSuppressScope suppress;
@@ -764,7 +760,7 @@ Analyzer::run()
                 // Retry ladder exhausted: conservative default summary,
                 // no symexec, and a provenance note saying why.
                 instrument(StoreQuarantined).counter->inc();
-                storeDefaultSummary(*fn);
+                db_.addDefault(fn->name(), fn->returnsValue());
                 instrument(FunctionsDegraded).counter->inc();
                 recordDiagnostic(
                     {fn->name(), FnStatus::Degraded, action.note});
@@ -775,7 +771,7 @@ Analyzer::run()
 
             if (!shouldAnalyze(node, *fn)) {
                 if (tracked[node]) {
-                    storeDefaultSummary(*fn);
+                    db_.addDefault(fn->name(), fn->returnsValue());
                     instrument(FunctionsDefaulted).counter->inc();
                     recordToStore(*fn, FnStatus::Ok, "", true, nullptr,
                                   {});
@@ -787,14 +783,10 @@ Analyzer::run()
             // of being analyzed, and the run still finishes with a
             // complete report.
             if (run_budget_->expiredNow()) {
-                storeDefaultSummary(*fn);
-                instrument(FunctionsTimeout).counter->inc();
-                std::string reason =
+                fallBackToDefault(
+                    *fn, FnStatus::Timeout,
                     std::string("run budget: ") +
-                    obs::budgetStopName(run_budget_->stopReason());
-                recordDiagnostic({fn->name(), FnStatus::Timeout, reason});
-                recordToStore(*fn, FnStatus::Timeout, reason, false,
-                              nullptr, {});
+                        obs::budgetStopName(run_budget_->stopReason()));
                 return {};
             }
             double deadline = opts_.function_deadline_seconds;
@@ -808,12 +800,7 @@ Analyzer::run()
         } catch (const std::exception &e) {
             // Last-resort isolation for faults outside the guarded
             // analysis path (classification, summary storage, ...).
-            if (tracked[node])
-                storeDefaultSummary(*fn);
-            instrument(FunctionsError).counter->inc();
-            recordDiagnostic({fn->name(), FnStatus::Error, e.what()});
-            recordToStore(*fn, FnStatus::Error, e.what(), false, nullptr,
-                          {});
+            fallBackToDefault(*fn, FnStatus::Error, e.what());
             return {};
         }
     };

@@ -402,12 +402,6 @@ class Analyzer
         return query_cache_;
     }
 
-    /** The shared instantiation cache (null when interning is off). */
-    const std::shared_ptr<summary::InstCache> &instCache() const
-    {
-        return inst_cache_;
-    }
-
     /** The run's span tracer (null when tracing is off). */
     const std::shared_ptr<obs::Tracer> &tracer() const { return tracer_; }
 
@@ -459,9 +453,11 @@ class Analyzer
     std::vector<BugReport> analyzeFunctionGuarded(const ir::Function &fn,
                                                   const obs::Budget &budget);
 
-    /** Store the conservative default summary for @p fn, bypassing any
-     *  armed failpoints (recovery must not be re-injected). */
-    void storeDefaultSummary(const ir::Function &fn);
+    /** Give @p fn the default summary after a budget expiry (Timeout)
+     *  or a fault (Degraded, Error): counted, diagnosed and recorded to
+     *  the store under @p status and @p reason. */
+    void fallBackToDefault(const ir::Function &fn, FnStatus status,
+                           const std::string &reason);
 
     void recordDiagnostic(FunctionDiagnostic d);
 

@@ -13,6 +13,7 @@
 #include "obs/failpoint.h"
 #include "obs/trace.h"
 #include "smt/cond_chain.h"
+#include "smt/intern.h"
 #include "summary/summary.h"
 
 namespace rid::analysis {
@@ -67,14 +68,20 @@ struct State
  * (cache misses), the quantity the interning exists to reduce.
  */
 summary::CallInstantiation
-instantiateCallEntry(const summary::FunctionSummary &callee,
+instantiateCallEntry(const std::string &callee_name,
+                     const summary::FunctionSummary &callee,
                      size_t entry_index, const std::vector<Expr> &actuals,
                      const std::string &temp_name, bool wants_result,
                      summary::InstCache *cache, uint64_t &instantiated)
 {
     summary::InstCache::Key key;
     if (cache) {
-        key.summary_fp = callee.fingerprint;
+        // The shared default summary is nameless: fold the callee in,
+        // so two defaulted callees never share a cache entry.
+        key.summary_fp = callee.is_default
+                             ? smt::fpCombine(callee.fingerprint,
+                                              smt::fpBytes(callee_name))
+                             : callee.fingerprint;
         key.entry_index = entry_index;
         key.actuals = actuals;
         key.slot = Expr::temp(temp_name);
@@ -89,7 +96,7 @@ instantiateCallEntry(const summary::FunctionSummary &callee,
     // to the caller and stands behind the call-site temp.
     SummaryEntry inst = summary::instantiate(callee.entries[entry_index],
                                              callee.params, actuals,
-                                             Expr(), callee.function);
+                                             Expr(), callee_name);
     Expr res;
     if (inst.ret) {
         bool opaque = inst.ret.containsIf([](const Expr &e) {
@@ -270,17 +277,7 @@ projectEntryLocals(SummaryEntry &entry)
             } else {
                 continue;
             }
-            entry.cons = entry.cons.substitute(from, to);
-            if (entry.ret)
-                entry.ret = entry.ret.substitute(from, to);
-            summary::ChangeMap new_changes;
-            for (const auto &[rc, delta] : entry.changes)
-                new_changes[rc.substitute(from, to)] += delta;
-            entry.changes = std::move(new_changes);
-            summary::StoreSet new_stores;
-            for (const auto &s : entry.stores)
-                new_stores.insert(s.substitute(from, to));
-            entry.stores = std::move(new_stores);
+            entry.substitute(from, to);
             substituted = true;
             break;
         }
@@ -492,7 +489,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                         }
                         summary::CallInstantiation inst =
                             instantiateCallEntry(
-                                *callee, ei, actuals, temp_name,
+                                in.callee, *callee, ei, actuals, temp_name,
                                 !in.dst.empty(), nullptr, instantiated);
 
                         State forked = s;
@@ -806,7 +803,9 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
                                         std::to_string(occ);
 
                 if (!callee) {
-                    // No summary at all: default behaviour inline.
+                    // No summary at all: bind a fresh temp and record no
+                    // callee. Kept apart from the default summary, whose
+                    // instantiation would push a callee and count one.
                     if (!in.dst.empty())
                         s.vmap.set(in.dst, Expr::temp(temp_name));
                     next.push_back(std::move(s));
@@ -821,8 +820,9 @@ TreeExecutor::stepBlock(RunCtx &ctx, ir::BlockId b,
                         break;
                     }
                     summary::CallInstantiation inst = instantiateCallEntry(
-                        *callee, ei, actuals, temp_name, !in.dst.empty(),
-                        opts_.inst_cache, ctx.res->entries_instantiated);
+                        in.callee, *callee, ei, actuals, temp_name,
+                        !in.dst.empty(), opts_.inst_cache,
+                        ctx.res->entries_instantiated);
 
                     TreeState forked = s;
                     forked.callees.push_back(in.callee);

@@ -22,7 +22,6 @@ queryRecordOf(const smt::QueryInfo &q)
     obs::QueryRecord out;
     out.fingerprint = q.fingerprint;
     out.result = smt::satResultName(q.result);
-    out.cache_hit = q.cache_hit;
     out.trivial = q.trivial;
     out.fuel = q.fuel;
     return out;

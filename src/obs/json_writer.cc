@@ -1,7 +1,7 @@
 #include "obs/json_writer.h"
 
+#include <charconv>
 #include <cstdio>
-#include <sstream>
 
 namespace rid::obs {
 
@@ -33,9 +33,10 @@ jsonEscape(const std::string &text)
 std::string
 jsonDouble(double v)
 {
-    std::ostringstream os;
-    os << v;
-    return os.str();
+    // Shortest text that reads back as the same double (0.1 is "0.1").
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, res.ptr);
 }
 
 std::string

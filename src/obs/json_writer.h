@@ -22,9 +22,10 @@ namespace rid::obs {
 std::string jsonEscape(const std::string &text);
 
 /**
- * Render a double the way the pre-existing emitters did (default
- * ostream formatting). The stats this repo emits never contain
- * inf/nan; callers must not pass them.
+ * Render a double as the shortest text that parses back to the same
+ * value (std::to_chars), so JSON carries what the Prometheus text's
+ * `%.17g` does. The stats this repo emits never contain inf/nan;
+ * callers must not pass them.
  */
 std::string jsonDouble(double v);
 

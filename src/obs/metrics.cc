@@ -19,25 +19,7 @@ promDouble(double v)
     return buf;
 }
 
-/** Relaxed atomic add for doubles (fetch_add on atomic<double> is
- *  C++20; spelled out as a CAS loop for toolchain portability). */
-void
-atomicAdd(std::atomic<double> &a, double d)
-{
-    double cur = a.load(std::memory_order_relaxed);
-    while (!a.compare_exchange_weak(cur, cur + d,
-                                    std::memory_order_relaxed,
-                                    std::memory_order_relaxed)) {
-    }
-}
-
 } // anonymous namespace
-
-void
-Gauge::add(double d)
-{
-    atomicAdd(v_, d);
-}
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds))
@@ -57,7 +39,7 @@ Histogram::observe(double v)
     size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), v) -
                bounds_.begin();
     buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    atomicAdd(sum_, v);
+    sum_.fetch_add(v, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
 }
 

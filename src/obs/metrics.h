@@ -44,7 +44,7 @@ class Gauge
 {
   public:
     void set(double v) { v_.store(v, std::memory_order_relaxed); }
-    void add(double d);
+    void add(double d) { v_.fetch_add(d, std::memory_order_relaxed); }
     double value() const { return v_.load(std::memory_order_relaxed); }
 
   private:

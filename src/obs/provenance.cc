@@ -106,7 +106,6 @@ ProvenanceRecord::json() const
         w.beginObject();
         w.key("fingerprint").value(fpHex(q.fingerprint));
         w.key("result").value(q.result);
-        w.key("cache_hit").value(q.cache_hit);
         w.key("trivial").value(q.trivial);
         w.key("fuel").value(q.fuel);
         w.endObject();
@@ -452,7 +451,6 @@ recordOf(const JsonValue &v)
         QueryRecord qr;
         qr.fingerprint = fpOf(require(q, "fingerprint"));
         qr.result = require(q, "result").string;
-        qr.cache_hit = require(q, "cache_hit").boolean;
         qr.trivial = require(q, "trivial").boolean;
         qr.fuel = integerOf<uint64_t>(require(q, "fuel"), "fuel");
         r.queries.push_back(std::move(qr));
@@ -549,8 +547,7 @@ explainText(const ProvenanceRecord &r)
            << (r.queries.size() == 1 ? "y" : "ies") << ":\n";
         for (const auto &q : r.queries) {
             os << "    " << fpHex(q.fingerprint) << " -> " << q.result
-               << (q.trivial ? " (trivial)"
-                             : q.cache_hit ? " (cache hit)" : " (solved)")
+               << (q.trivial ? " (trivial)" : " (solved)")
                << ", fuel " << q.fuel << "\n";
         }
     }
@@ -569,14 +566,10 @@ RunDiff
 diffRuns(const std::vector<ProvenanceRecord> &old_run,
          const std::vector<ProvenanceRecord> &new_run)
 {
-    auto ordered = [](std::vector<ProvenanceRecord> v) {
-        std::sort(v.begin(), v.end(),
-                  [](const ProvenanceRecord &a, const ProvenanceRecord &b) {
-                      if (a.fingerprint != b.fingerprint)
-                          return a.fingerprint < b.fingerprint;
-                      return a.json() < b.json();
-                  });
-        return v;
+    auto before = [](const ProvenanceRecord &a, const ProvenanceRecord &b) {
+        if (a.fingerprint != b.fingerprint)
+            return a.fingerprint < b.fingerprint;
+        return a.json() < b.json();
     };
     // First record per fingerprint in the old run; the within-run dedup
     // below keeps the partitions one-record-per-fingerprint too.
@@ -610,14 +603,11 @@ diffRuns(const std::vector<ProvenanceRecord> &old_run,
         if (!new_fps.count(r.fingerprint))
             diff.resolved.push_back(r);
     }
-    diff.added = ordered(std::move(diff.added));
-    diff.resolved = ordered(std::move(diff.resolved));
-    diff.persisting = ordered(std::move(diff.persisting));
+    for (auto *part : {&diff.added, &diff.resolved, &diff.persisting})
+        std::sort(part->begin(), part->end(), before);
     std::sort(diff.reclassified.begin(), diff.reclassified.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second.fingerprint != b.second.fingerprint)
-                      return a.second.fingerprint < b.second.fingerprint;
-                  return a.second.json() < b.second.json();
+              [&](const auto &a, const auto &b) {
+                  return before(a.second, b.second);
               });
     return diff;
 }

@@ -70,7 +70,6 @@ struct QueryRecord
     uint64_t fingerprint = 0;
     /** "sat", "unsat" or "unknown". */
     std::string result;
-    bool cache_hit = false;
     bool trivial = false;
     /** Solver fuel the query consumed (0 for trivial checks). */
     uint64_t fuel = 0;
@@ -78,8 +77,7 @@ struct QueryRecord
     bool operator==(const QueryRecord &o) const
     {
         return fingerprint == o.fingerprint && result == o.result &&
-               cache_hit == o.cache_hit && trivial == o.trivial &&
-               fuel == o.fuel;
+               trivial == o.trivial && fuel == o.fuel;
     }
 };
 

@@ -114,13 +114,11 @@ Solver::check(const Formula &f)
 {
     stats_.queries++;
     if (f.isTrue()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Sat, false,
-                                true, 0};
+        last_query_ = QueryInfo{f.fingerprint(), SatResult::Sat, true, 0};
         return SatResult::Sat;
     }
     if (f.isFalse()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unsat, false,
-                                true, 0};
+        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unsat, true, 0};
         return SatResult::Unsat;
     }
     obs::failpoint("smt.solver.check");
@@ -131,8 +129,7 @@ Solver::check(const Formula &f)
     if (budget_ && (!budget_->consumeFuel() || budget_->expiredNow())) {
         stats_.budget_stops++;
         stats_.unknowns++;
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unknown,
-                                false, false, 1};
+        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unknown, false, 1};
         return SatResult::Unknown;
     }
     obs::Span span(opts_.trace_queries ? obs::currentTracer() : nullptr,
@@ -168,7 +165,7 @@ Solver::check(const Formula &f)
     span.arg("result", satResultName(r));
     if (cached_hit)
         span.arg("cache", "hit");
-    last_query_ = QueryInfo{f.fingerprint(), r, cached_hit, false, 1};
+    last_query_ = QueryInfo{f.fingerprint(), r, false, 1};
     return r;
 }
 
@@ -190,13 +187,11 @@ Solver::checkChain(const CondChain &chain)
     stats_.queries++;
     Formula f = chain.formula();
     if (f.isTrue()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Sat, false,
-                                true, 0};
+        last_query_ = QueryInfo{f.fingerprint(), SatResult::Sat, true, 0};
         return SatResult::Sat;
     }
     if (f.isFalse()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unsat, false,
-                                true, 0};
+        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unsat, true, 0};
         return SatResult::Unsat;
     }
     obs::failpoint("smt.solver.check");
@@ -205,8 +200,7 @@ Solver::checkChain(const CondChain &chain)
     if (budget_ && (!budget_->consumeFuel() || budget_->expiredNow())) {
         stats_.budget_stops++;
         stats_.unknowns++;
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unknown,
-                                false, false, 1};
+        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unknown, false, 1};
         return SatResult::Unknown;
     }
     obs::Span span(opts_.trace_queries ? obs::currentTracer() : nullptr,
@@ -254,7 +248,7 @@ Solver::checkChain(const CondChain &chain)
     span.arg("result", satResultName(r));
     if (cached_hit)
         span.arg("cache", "hit");
-    last_query_ = QueryInfo{f.fingerprint(), r, cached_hit, false, 1};
+    last_query_ = QueryInfo{f.fingerprint(), r, false, 1};
     return r;
 }
 

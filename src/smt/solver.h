@@ -56,8 +56,6 @@ struct QueryInfo
     /** Formula::fingerprint() of the decided formula (0 for True). */
     uint64_t fingerprint = 0;
     SatResult result = SatResult::Unknown;
-    /** Answered from the attached QueryCache. */
-    bool cache_hit = false;
     /** Trivial True/False short-circuit (no fuel, no cache). */
     bool trivial = false;
     /** Solver fuel consumed by this query (1 for every non-trivial

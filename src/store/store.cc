@@ -177,7 +177,7 @@ encodeReport(std::string &out, const analysis::BugReport &r)
     for (const auto &q : r.queries) {
         putU64(out, q.fingerprint);
         putU8(out, static_cast<uint8_t>(q.result));
-        putU8(out, q.cache_hit ? 1 : 0);
+        putU8(out, 0);  // reserved: written 0, ignored on read
         putU8(out, q.trivial ? 1 : 0);
         putU64(out, q.fuel);
     }
@@ -206,15 +206,14 @@ decodeReport(std::string_view &in, analysis::BugReport &r)
     r.queries.resize(nq);
     for (uint32_t k = 0; k < nq; k++) {
         auto &q = r.queries[k];
-        uint8_t result, cache_hit, trivial;
+        uint8_t result, reserved, trivial;
         if (!getU64(in, q.fingerprint) || !getU8(in, result) ||
-            !getU8(in, cache_hit) || !getU8(in, trivial) ||
+            !getU8(in, reserved) || !getU8(in, trivial) ||
             !getU64(in, q.fuel))
             return false;
         if (result > static_cast<uint8_t>(smt::SatResult::Unknown))
             return false;
         q.result = static_cast<smt::SatResult>(result);
-        q.cache_hit = cache_hit != 0;
         q.trivial = trivial != 0;
     }
     return getStrs(in, r.callees_a) && getStrs(in, r.callees_b);

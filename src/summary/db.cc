@@ -1,12 +1,34 @@
 #include "summary/db.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 
+#include "obs/failpoint.h"
 #include "summary/spec.h"
 
 namespace rid::summary {
+
+namespace {
+
+/** The two shared default summaries, built once, by return kind. */
+const std::shared_ptr<const FunctionSummary> &
+sharedDefault(bool returns_value)
+{
+    auto make = [](bool rv) {
+        // Building the entry interns expressions, a failpoint site.
+        obs::FailpointSuppressScope suppress;
+        FunctionSummary s = FunctionSummary::defaultFor("", rv);
+        s.fingerprint = summaryFingerprint(s);
+        return std::make_shared<const FunctionSummary>(std::move(s));
+    };
+    static const std::shared_ptr<const FunctionSummary> defaults[] = {
+        make(false), make(true)};
+    return defaults[returns_value];
+}
+
+} // anonymous namespace
 
 bool
 SummaryDb::declareDomain(const DomainInfo &info)
@@ -38,7 +60,17 @@ SummaryDb::addComputed(FunctionSummary s)
     if (predefined_.count(s.function))
         return;
     s.fingerprint = summaryFingerprint(s);
-    computed_[s.function] = std::move(s);
+    auto &slot = computed_[s.function];
+    slot = std::make_shared<const FunctionSummary>(std::move(s));
+}
+
+void
+SummaryDb::addDefault(const std::string &fn, bool returns_value)
+{
+    const auto &shared = sharedDefault(returns_value);
+    std::unique_lock lock(mutex_);
+    if (!predefined_.count(fn))
+        computed_[fn] = shared;
 }
 
 const FunctionSummary *
@@ -50,7 +82,7 @@ SummaryDb::find(const std::string &fn) const
         return &it->second;
     auto it2 = computed_.find(fn);
     if (it2 != computed_.end())
-        return &it2->second;
+        return it2->second.get();
     return nullptr;
 }
 
@@ -74,23 +106,17 @@ SummaryDb::predefinedNames() const
 }
 
 std::vector<std::string>
-SummaryDb::namesWithChanges() const
-{
-    return namesWithChanges({});
-}
-
-std::vector<std::string>
 SummaryDb::namesWithChanges(
     const std::vector<std::string> &enabled_domains) const
 {
     std::shared_lock lock(mutex_);
     std::vector<std::string> names;
     for (const auto &[name, s] : predefined_) {
-        if (s.hasChangesIn(enabled_domains))
+        if (s.hasChanges(enabled_domains))
             names.push_back(name);
     }
     for (const auto &[name, s] : computed_) {
-        if (s.hasChangesIn(enabled_domains) && !predefined_.count(name))
+        if (s->hasChanges(enabled_domains) && !predefined_.count(name))
             names.push_back(name);
     }
     std::sort(names.begin(), names.end());
@@ -108,23 +134,19 @@ std::string
 SummaryDb::saveComputed() const
 {
     std::shared_lock lock(mutex_);
-    std::vector<const FunctionSummary *> rows;
-    rows.reserve(computed_.size());
-    for (const auto &[name, s] : computed_)
-        rows.push_back(&s);
     // Name-sorted so the export is byte-identical regardless of the
     // (thread-scheduling-dependent) order summaries were inserted in.
-    std::sort(rows.begin(), rows.end(),
-              [](const FunctionSummary *a, const FunctionSummary *b) {
-                  return a->function < b->function;
-              });
+    // Keyed by name: a shared default does not carry one.
+    std::map<std::string_view, const FunctionSummary *> rows;
+    for (const auto &[name, s] : computed_)
+        rows.emplace(name, s.get());
     std::ostringstream os;
     // Non-ref domains referenced by the export are declared up front so
     // the text round-trips through parseSpecText() without needing the
     // original spec files. Ref-only exports stay byte-identical to the
     // pre-domain format.
     std::set<std::string> used;
-    for (const FunctionSummary *s : rows)
+    for (const auto &[name, s] : rows)
         for (const auto &e : s->entries)
             for (const auto &[rc, delta] : e.changes)
                 if (!rc.isRef())
@@ -133,8 +155,8 @@ SummaryDb::saveComputed() const
         os << "domain " << name << " { policy: "
            << domainPolicyName(domains_.policyOf(name)) << "; }\n";
     }
-    for (const FunctionSummary *s : rows)
-        os << serializeSummary(*s);
+    for (const auto &[name, s] : rows)
+        os << serializeSummary(*s, name);
     return os.str();
 }
 

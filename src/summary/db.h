@@ -12,6 +12,7 @@
 #ifndef RID_SUMMARY_DB_H
 #define RID_SUMMARY_DB_H
 
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <optional>
@@ -43,6 +44,10 @@ class SummaryDb
     /** Store a computed summary; no-op if a predefined one exists. */
     void addComputed(FunctionSummary s);
 
+    /** As addComputed() with the default summary (Section 5.2): one
+     *  shared, nameless object per return kind, never a copy. */
+    void addDefault(const std::string &fn, bool returns_value);
+
     /** Look up a summary; predefined beats computed. */
     const FunctionSummary *find(const std::string &fn) const;
 
@@ -52,21 +57,20 @@ class SummaryDb
     std::vector<std::string> predefinedNames() const;
 
     /** Names of all known summaries (predefined or computed/imported)
-     *  whose entries change a counter — the classifier's seed set. */
-    std::vector<std::string> namesWithChanges() const;
-
-    /** As namesWithChanges(), but only effects in @p enabled_domains
-     *  count (empty = all domains). */
+     *  whose entries change a counter in @p enabled_domains (empty = any
+     *  domain) — the classifier's seed set. */
     std::vector<std::string>
-    namesWithChanges(const std::vector<std::string> &enabled_domains) const;
+    namesWithChanges(const std::vector<std::string> &enabled_domains = {})
+        const;
 
     size_t size() const;
 
     /**
      * Serialize all computed summaries, name-sorted, in the spec format
      * understood by loadSpecFile() (predefined ones are configuration, not
-     * results, and are not saved). Sorted output makes the export
-     * byte-identical across runs and thread counts.
+     * results, and are not saved). A default is written under the name
+     * it was added for. Sorted output makes the export byte-identical
+     * across runs and thread counts.
      */
     std::string saveComputed() const;
 
@@ -74,7 +78,9 @@ class SummaryDb
     mutable std::shared_mutex mutex_;
     DomainTable domains_;
     std::unordered_map<std::string, FunctionSummary> predefined_;
-    std::unordered_map<std::string, FunctionSummary> computed_;
+    /** Computed and imported summaries; defaults share one object. */
+    std::unordered_map<std::string, std::shared_ptr<const FunctionSummary>>
+        computed_;
 };
 
 } // namespace rid::summary

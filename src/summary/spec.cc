@@ -500,7 +500,7 @@ loadSpecsInto(const std::string &text, SummaryDb &db)
 }
 
 std::string
-serializeSummary(const FunctionSummary &s)
+serializeSummary(const FunctionSummary &s, std::string_view name)
 {
     std::vector<std::string> params = s.params;
     bool returns_value = s.returns_value;
@@ -529,7 +529,7 @@ serializeSummary(const FunctionSummary &s)
     }
 
     std::ostringstream os;
-    os << "summary " << s.function << "(";
+    os << "summary " << (name.empty() ? s.function : name) << "(";
     bool first = true;
     for (const auto &p : params) {
         if (!first)

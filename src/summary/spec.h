@@ -40,6 +40,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "summary/db.h"
@@ -98,9 +99,11 @@ std::vector<ParsedSummary> parseSpecs(const std::string &text);
  *  @throws SpecError also when a summary name is already predefined. */
 void loadSpecsInto(const std::string &text, SummaryDb &db);
 
-/** Serialize one summary in the spec format (round-trips via parseSpecs).
+/** Serialize one summary in the spec format (round-trips via parseSpecs)
+ *  under @p name (empty: `s.function`; a shared default has none).
  *  Formal parameter names are recovered from argument atoms. */
-std::string serializeSummary(const FunctionSummary &s);
+std::string serializeSummary(const FunctionSummary &s,
+                             std::string_view name = {});
 
 } // namespace rid::summary
 

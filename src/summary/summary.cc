@@ -1,5 +1,6 @@
 #include "summary/summary.h"
 
+#include <algorithm>
 #include <cassert>
 #include <set>
 #include <sstream>
@@ -17,6 +18,22 @@ SummaryEntry::normalizeChanges()
         else
             ++it;
     }
+}
+
+void
+SummaryEntry::substitute(const smt::Expr &from, const smt::Expr &to)
+{
+    cons = cons.substitute(from, to);
+    if (ret)
+        ret = ret.substitute(from, to);
+    ChangeMap new_changes;
+    for (const auto &[rc, delta] : changes)
+        new_changes[rc.substitute(from, to)] += delta;
+    changes = std::move(new_changes);
+    StoreSet new_stores;
+    for (const auto &s : stores)
+        new_stores.insert(s.substitute(from, to));
+    stores = std::move(new_stores);
 }
 
 bool
@@ -102,25 +119,24 @@ SummaryEntry::str() const
 }
 
 bool
-FunctionSummary::hasChanges() const
+FunctionSummary::hasChanges(const std::vector<std::string> &domains) const
 {
     for (const auto &e : entries)
-        if (!e.changes.empty())
-            return true;
+        for (const auto &[rc, delta] : e.changes)
+            if (domains.empty() || std::find(domains.begin(), domains.end(),
+                                             rc.domain) != domains.end())
+                return true;
     return false;
 }
 
-bool
-FunctionSummary::hasChangesIn(const std::vector<std::string> &domains) const
+SummaryEntry
+SummaryEntry::defaultEntry(bool returns_value)
 {
-    if (domains.empty())
-        return hasChanges();
-    for (const auto &e : entries)
-        for (const auto &[rc, delta] : e.changes)
-            for (const auto &d : domains)
-                if (rc.domain == d)
-                    return true;
-    return false;
+    SummaryEntry e;
+    e.cons = smt::Formula::top();
+    if (returns_value)
+        e.ret = smt::Expr::ret();
+    return e;
 }
 
 FunctionSummary
@@ -130,11 +146,7 @@ FunctionSummary::defaultFor(const std::string &fn, bool returns_value)
     s.function = fn;
     s.is_default = true;
     s.returns_value = returns_value;
-    SummaryEntry e;
-    e.cons = smt::Formula::top();
-    if (returns_value)
-        e.ret = smt::Expr::ret();
-    s.entries.push_back(std::move(e));
+    s.entries.push_back(SummaryEntry::defaultEntry(returns_value));
     return s;
 }
 
@@ -176,23 +188,6 @@ instantiate(const SummaryEntry &entry,
             const std::string &missing_scope)
 {
     SummaryEntry out = entry;
-
-    auto substituteAll = [&out](const smt::Expr &from, const smt::Expr &to) {
-        out.cons = out.cons.substitute(from, to);
-        if (out.ret)
-            out.ret = out.ret.substitute(from, to);
-        ChangeMap new_changes;
-        for (const auto &[rc, delta] : out.changes) {
-            EffectKey key = rc.substitute(from, to);
-            new_changes[key] += delta;
-        }
-        out.changes = std::move(new_changes);
-        StoreSet new_stores;
-        for (const auto &s : out.stores)
-            new_stores.insert(s.substitute(from, to));
-        out.stores = std::move(new_stores);
-    };
-
     for (size_t i = 0; i < formals.size(); i++) {
         smt::Expr formal = smt::Expr::arg(formals[i]);
         // A formal with no actual becomes an unconstrained temp interned
@@ -207,10 +202,10 @@ instantiate(const SummaryEntry &entry,
                                       ? "missing$" + formals[i]
                                       : "missing$" + missing_scope + "$" +
                                             formals[i]);
-        substituteAll(formal, actual);
+        out.substitute(formal, actual);
     }
     if (result)
-        substituteAll(smt::Expr::ret(), result);
+        out.substitute(smt::Expr::ret(), result);
     out.normalizeChanges();
     return out;
 }

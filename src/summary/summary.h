@@ -117,6 +117,10 @@ struct SummaryEntry
     /** Drop zero deltas (changes[rc] is 0 by default — Section 4.4). */
     void normalizeChanges();
 
+    /** Rewrite @p from to @p to in cons, return, stores and change keys
+     *  (the deltas of keys that collapse are summed). */
+    void substitute(const smt::Expr &from, const smt::Expr &to);
+
     /** True if both entries change every refcount identically. */
     static bool sameChanges(const SummaryEntry &a, const SummaryEntry &b);
 
@@ -132,6 +136,10 @@ struct SummaryEntry
      * disjunction, return is kept when equal and becomes [0] otherwise.
      */
     static SummaryEntry merge(const SummaryEntry &a, const SummaryEntry &b);
+
+    /** The default entry: no constraint, no changes, return [0] when
+     *  @p returns_value (Section 5.2). */
+    static SummaryEntry defaultEntry(bool returns_value);
 
     std::string str() const;
 };
@@ -161,12 +169,9 @@ struct FunctionSummary
      *  derived cache key. */
     uint64_t fingerprint = 0;
 
-    /** True if any entry changes any counter, in any domain. */
-    bool hasChanges() const;
-
-    /** As hasChanges(), but counting only effects whose domain is in
-     *  @p domains (empty = all domains). */
-    bool hasChangesIn(const std::vector<std::string> &domains) const;
+    /** True if any entry changes a counter in one of @p domains
+     *  (empty = any domain). */
+    bool hasChanges(const std::vector<std::string> &domains = {}) const;
 
     /** The default summary: single entry, no changes, return [0]. */
     static FunctionSummary defaultFor(const std::string &fn,

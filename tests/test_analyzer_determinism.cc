@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -196,18 +195,6 @@ jsonNumber(const testutil::JsonValue &doc, const std::string &path)
         v = v->find(key);
     EXPECT_NE(v, nullptr) << path;
     return v ? v->number : -1;
-}
-
-/** @p v as statsJson prints it: counters exactly, doubles at stream
- *  precision. */
-double
-asPrintedInJson(double v)
-{
-    if (v == std::floor(v))
-        return v;
-    std::ostringstream os;
-    os << v;
-    return std::stod(os.str());
 }
 
 using Stats = analysis::AnalyzerStats;
@@ -701,6 +688,28 @@ TEST_F(AnalyzerDeterminismTest, CompactionPreservesReportsAndDiagnostics)
     }
 }
 
+TEST(SummaryExport, PaperCalibratedExportIsPinned)
+{
+    // Category-3 functions resolve to one shared default summary; the
+    // export still writes a default block under each function's name.
+    // The digest was recorded when every default was its own summary,
+    // at both thread counts (2,641 defaults among 3,231 summaries).
+    kernel::Corpus corpus =
+        kernel::generateCorpus(kernel::CorpusMix::paperCalibrated(0.01));
+    for (int threads : {1, 4}) {
+        analysis::AnalyzerOptions opts;
+        opts.threads = threads;
+        Rid tool(opts);
+        tool.loadSpecText(kernel::dpmSpecText());
+        for (const auto &file : corpus.files)
+            tool.addSource(file.text);
+        tool.run();
+        EXPECT_EQ(obs::fpHex(smt::fpBytes(tool.exportSummaries())),
+                  "0xc7eaf634cb9fe56c")
+            << "threads=" << threads;
+    }
+}
+
 TEST_F(AnalyzerDeterminismTest, InterningIsByteIdenticalIncludingSummaries)
 {
     // The instantiation cache is pure memoization: a hit returns exactly
@@ -872,7 +881,7 @@ class InjectedDeterminismTest : public ::testing::Test
             EXPECT_EQ(std::stod(text), value) << sample;
             if (row.json) {
                 EXPECT_EQ(jsonNumber(run.json, row.json),
-                          asPrintedInJson(value * row.json_scale))
+                          value * row.json_scale)
                     << sample;
             }
         }

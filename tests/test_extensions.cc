@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <sys/wait.h>
 
@@ -16,6 +19,7 @@
 #include "kernel/domain_specs.h"
 #include "kernel/dpm_specs.h"
 #include "kernel/inject.h"
+#include "store/store.h"
 #include "summary/domain.h"
 
 namespace rid {
@@ -429,6 +433,59 @@ TEST(RidcCli, OutputIsByteIdenticalAcrossThreadsAndRepeats)
             << "threads " << threads << " repeat " << repeat;
         EXPECT_EQ(o.journal, base.journal)
             << "threads " << threads << " repeat " << repeat;
+    }
+
+    // A cold --store run writes one function frame per function, whose
+    // payload must not depend on the thread count either. Frame order
+    // and checkpoint frames follow the schedule, so frames are keyed by
+    // the function name that opens each payload (u32 length + bytes).
+    auto storeFrames = [&](int threads, int repeat) {
+        std::string tag = "store_t" + std::to_string(threads) + "r" +
+                          std::to_string(repeat);
+        std::string dir = writeTemp(tag, "") + ".d";
+        std::filesystem::remove_all(dir);
+        CliResult r = runCli("--threads " + std::to_string(threads) +
+                                 " --store " + dir + " " + args,
+                             "/dev/null");
+        EXPECT_EQ(r.exit_code, 1) << tag;
+        store::WalScan wal = store::scanWal(readAll(dir + "/analysis.wal"));
+        std::filesystem::remove_all(dir);
+        EXPECT_TRUE(wal.header_ok) << tag;
+        EXPECT_EQ(wal.torn_frames, 0u) << tag;
+        std::map<std::string, std::string> frames;
+        for (auto &frame : wal.frames) {
+            if (frame.type != store::kFrameFunction)
+                continue;
+            const std::string &p = frame.payload;
+            uint32_t n = 0;
+            for (size_t k = 0; k < 4 && k < p.size(); k++)
+                n |= static_cast<uint32_t>(static_cast<uint8_t>(p[k]))
+                     << (8 * k);
+            std::string name = p.substr(std::min<size_t>(4, p.size()), n);
+            EXPECT_TRUE(frames.emplace(name, std::move(frame.payload)).second)
+                << tag << ": two frames for " << name;
+        }
+        return frames;
+    };
+    std::map<std::string, std::string> base_frames = storeFrames(1, 0);
+    EXPECT_FALSE(base_frames.empty());
+    for (auto [threads, repeat] :
+         {std::pair{1, 1}, std::pair{4, 0}, std::pair{4, 1}}) {
+        std::map<std::string, std::string> frames =
+            storeFrames(threads, repeat);
+        EXPECT_EQ(frames.size(), base_frames.size())
+            << "threads " << threads << " repeat " << repeat;
+        for (const auto &[name, payload] : base_frames) {
+            auto it = frames.find(name);
+            if (it == frames.end()) {
+                ADD_FAILURE() << "threads " << threads << " repeat "
+                              << repeat << ": no frame for " << name;
+                continue;
+            }
+            EXPECT_EQ(it->second, payload)
+                << "threads " << threads << " repeat " << repeat << ": "
+                << name;
+        }
     }
 }
 

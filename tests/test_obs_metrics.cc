@@ -266,6 +266,23 @@ TEST(MetricsRegistry, JsonExportParses)
     EXPECT_EQ(c->find("count")->number, 1.0);
 }
 
+TEST(MetricsRegistry, JsonDoublesReadBackBitEqual)
+{
+    // 0.1 + 0.2 needs 17 significant digits; at six the JSON would read
+    // back as 0.3 while the Prometheus text carries the exact value.
+    obs::MetricsRegistry reg;
+    const double v = 0.1 + 0.2;
+    reg.gauge("rid_g_seconds").set(v);
+    reg.histogram("rid_h_seconds", "", {1.0}).observe(v);
+
+    testutil::JsonValue doc;
+    ASSERT_TRUE(testutil::parseJson(reg.json(), doc)) << reg.json();
+    EXPECT_EQ(doc.find("rid_g_seconds")->find("value")->number, v);
+    EXPECT_EQ(doc.find("rid_h_seconds")->find("sum")->number, v);
+    EXPECT_EQ(obs::jsonDouble(0.1), "0.1");
+    EXPECT_EQ(obs::jsonDouble(2.5), "2.5");
+}
+
 TEST(MetricsRegistry, CardinalityCapRedirectsNewNamesToOverflow)
 {
     obs::MetricsRegistry reg;

@@ -54,7 +54,6 @@ sampleRecord(uint64_t fp = 0x1234)
     obs::QueryRecord q;
     q.fingerprint = 0x42;
     q.result = "sat";
-    q.cache_hit = true;
     q.fuel = 1;
     r.queries.push_back(q);
     r.status = "ok";
@@ -132,6 +131,27 @@ TEST(ProvenanceJournal, MalformedInputThrows)
                  std::runtime_error);  // missing required keys
     EXPECT_THROW(obs::parseJournal("[1, 2]"), std::runtime_error);
     EXPECT_TRUE(obs::parseJournal("\n  \n").empty());
+}
+
+TEST(ProvenanceJournal, CacheHitKeyOfOldJournalsIsIgnored)
+{
+    // Journals written before the per-query cache-hit flag was dropped
+    // (it depended on thread scheduling) still parse; the key is read
+    // past and is not written back.
+    obs::ProvenanceRecord r = sampleRecord();
+    std::string line = r.json();
+    size_t at = line.find("\"result\":\"sat\",");
+    ASSERT_NE(at, std::string::npos);
+    for (const char *flag : {"true", "false"}) {
+        std::string old = line;
+        old.insert(at + std::string("\"result\":\"sat\",").size(),
+                   std::string("\"cache_hit\":") + flag + ",");
+        auto parsed = obs::parseJournal(old + "\n");
+        ASSERT_EQ(parsed.size(), 1u) << old;
+        EXPECT_TRUE(parsed[0] == r) << old;
+        EXPECT_EQ(parsed[0].json(), line);
+    }
+    EXPECT_EQ(line.find("cache_hit"), std::string::npos);
 }
 
 TEST(ProvenanceJournal, BadNumbersAreParseErrors)
@@ -212,8 +232,12 @@ TEST(ProvenanceExplain, NarrativeNamesTheEvidence)
     EXPECT_NE(text.find("idmouse_open"), std::string::npos);
     EXPECT_NE(text.find(r.path_a.cons), std::string::npos);
     EXPECT_NE(text.find("usb_autopm_get_interface"), std::string::npos);
-    EXPECT_NE(text.find("cache hit"), std::string::npos);
+    EXPECT_NE(text.find("-> sat (solved)"), std::string::npos);
     EXPECT_NE(text.find("truncated"), std::string::npos);
+
+    r.queries[0].trivial = true;
+    EXPECT_NE(obs::explainText(r).find("-> sat (trivial)"),
+              std::string::npos);
 
     r.queries.clear();
     EXPECT_NE(obs::explainText(r).find("must-analysis"),

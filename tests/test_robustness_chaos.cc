@@ -70,7 +70,7 @@ summariesByFunction(const Rid &tool)
             continue;
         if (const summary::FunctionSummary *s =
                 tool.summaries().find(fn->name()))
-            out[fn->name()] = summary::serializeSummary(*s);
+            out[fn->name()] = summary::serializeSummary(*s, fn->name());
     }
     return out;
 }

@@ -265,6 +265,72 @@ TEST(SummaryDb, PredefinedBeatsComputed)
     EXPECT_TRUE(db.find("f")->is_predefined);
 }
 
+TEST(SummaryDb, DefaultedFunctionsShareOneSummary)
+{
+    SummaryDb db;
+    db.addDefault("a", true);
+    db.addDefault("b", true);
+    db.addDefault("v", false);
+    const FunctionSummary *shared = db.find("a");
+    ASSERT_NE(shared, nullptr);
+    EXPECT_EQ(db.find("b"), shared);
+    EXPECT_TRUE(shared->is_default);
+    EXPECT_TRUE(shared->returns_value);
+    ASSERT_NE(db.find("v"), nullptr);
+    EXPECT_NE(db.find("v"), shared);
+    EXPECT_FALSE(db.find("v")->returns_value);
+    SummaryDb other;
+    other.addDefault("c", true);
+    EXPECT_EQ(other.find("c"), shared);
+
+    // Each default is exported under its own name, as a per-function
+    // default summary was.
+    EXPECT_EQ(db.saveComputed(),
+              serializeSummary(FunctionSummary::defaultFor("a", true)) +
+                  serializeSummary(FunctionSummary::defaultFor("b", true)) +
+                  serializeSummary(FunctionSummary::defaultFor("v", false)));
+
+    // A computed or imported summary overwrites the default, and a later
+    // default overwrites it back; a predefined one is never overwritten.
+    FunctionSummary computed;
+    computed.function = "a";
+    computed.entries.push_back(entryWith(Formula::top(), {{"pm", 1}}, {}));
+    db.addComputed(computed);
+    EXPECT_FALSE(db.find("a")->is_default);
+    EXPECT_TRUE(db.find("a")->hasChanges());
+    EXPECT_EQ(db.find("b"), shared);
+    for (auto &parsed : parseSpecs(
+             "summary b(d) -> int { entry { cons: true; return: [0]; } }"))
+        db.addComputed(std::move(parsed.summary));
+    EXPECT_NE(db.find("b"), shared);
+    EXPECT_FALSE(db.find("b")->is_default);
+    db.addDefault("a", true);
+    EXPECT_EQ(db.find("a"), shared);
+    FunctionSummary spec;
+    spec.function = "v";
+    spec.entries.push_back(SummaryEntry{});
+    db.addPredefined(spec);
+    db.addDefault("v", false);
+    EXPECT_TRUE(db.find("v")->is_predefined);
+}
+
+TEST(SummaryDb, UnanalyzedFunctionsOfARunShareTheDefault)
+{
+    Rid tool;
+    tool.addSource("int one(int x) { return x + 1; }\n"
+                   "int two(int y) { return y - 1; }\n"
+                   "void three(int z) { }\n"
+                   "void four(int w) { three(w); }\n");
+    tool.run();
+    const FunctionSummary *one = tool.summaries().find("one");
+    ASSERT_NE(one, nullptr);
+    EXPECT_TRUE(one->is_default);
+    EXPECT_EQ(tool.summaries().find("two"), one);
+    ASSERT_NE(tool.summaries().find("three"), nullptr);
+    EXPECT_TRUE(tool.summaries().find("three")->is_default);
+    EXPECT_EQ(tool.summaries().find("four"), tool.summaries().find("three"));
+}
+
 TEST(SummaryDb, FindMissingReturnsNull)
 {
     SummaryDb db;
