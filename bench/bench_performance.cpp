@@ -8,10 +8,9 @@
  *   - classification scales roughly linearly in corpus size;
  *   - per-function analysis cost is dominated by path enumeration and
  *     constraint solving and is bounded by the path/subcase caps;
- *   - SCC-level parallel analysis (Section 5.3) and path-level parallel
- *     symbolic execution (Section 7) distribute the work off the main
- *     thread with bit-identical results (wall-clock gains require a
- *     multi-core host; the reference container has one core).
+ *   - SCC-level parallel analysis (Section 5.3) distributes the work
+ *     off the main thread with bit-identical results (wall-clock gains
+ *     require a multi-core host; the reference container has one core).
  */
 
 #include <benchmark/benchmark.h>
@@ -278,40 +277,6 @@ BM_AnalyzeCorpusThreads(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AnalyzeCorpusThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_AnalyzePathsParallel(benchmark::State &state)
-{
-    // Section 7 future work: symbolic execution of the paths of one
-    // wide function in parallel.
-    std::string src = "int wide(struct device *dev, int a) {\n"
-                      "    int r = 0;\n";
-    for (int i = 0; i < 9; i++) {
-        src += "    if (a > " + std::to_string(i) + ") r = " +
-               std::to_string(i) + ";\n";
-    }
-    src += "    int s = pm_runtime_get_sync(dev);\n"
-           "    if (s < 0) return s;\n"
-           "    r = op(dev);\n"
-           "    pm_runtime_put(dev);\n"
-           "    return r;\n}\nint op(struct device *dev);\n";
-    rid::ir::Module module = rid::frontend::compile(src);
-    for (auto _ : state) {
-        rid::summary::SummaryDb db;
-        rid::summary::loadSpecsInto(rid::kernel::dpmSpecText(), db);
-        rid::analysis::AnalyzerOptions opts;
-        opts.path_threads = static_cast<int>(state.range(0));
-        opts.max_paths = 4096;
-        rid::analysis::Analyzer analyzer(module, db, opts);
-        analyzer.run();
-        benchmark::DoNotOptimize(analyzer.reports().size());
-    }
-    // Note: end-to-end gains are bounded by the sequential IPP phase
-    // that follows path execution (Amdahl); the per-path execution
-    // itself parallelizes cleanly.
-}
-BENCHMARK(BM_AnalyzePathsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 /** One Rid run over @p corpus with the DPM specs under @p opts, and its

@@ -21,7 +21,7 @@
  *   --list-domains     print the declared effect domains and exit
  *   --max-paths N      path cap per function (default 100)
  *   --max-subcases N   subcase cap per path (default 10)
- *   --threads N        analyze SCC levels with N workers
+ *   --threads N        analyze SCC levels with N workers (1 to 256)
  *   --deadline S       wall-clock budget for the whole run (seconds;
  *                      functions reached after expiry are defaulted)
  *   --fn-deadline S    per-function wall-clock budget (seconds)
@@ -48,11 +48,17 @@
  *   --summaries        print all computed summaries after analyzing
  */
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/dot.h"
@@ -98,6 +104,35 @@ usage()
                  "       ridc explain <fingerprint|all> <journal.jsonl>\n"
                  "       ridc diff-runs <old.jsonl> <new.jsonl>\n");
     std::exit(2);
+}
+
+/** The value of numeric flag @p flag: all of @p text must parse as a T
+ *  in [@p lo, @p hi] (a floating-point value must also be finite), or
+ *  ridc exits 2 naming the flag and the value. */
+template <typename T>
+T
+parseFlag(const char *flag, const std::string &text, T lo,
+          T hi = std::numeric_limits<T>::max())
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool ok = ec == std::errc() && ptr == end && value >= lo && value <= hi;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::ostringstream expected;
+        expected << (std::is_floating_point_v<T> ? "a finite number"
+                                                 : "an integer");
+        if (hi == std::numeric_limits<T>::max())
+            expected << " >= " << lo;
+        else
+            expected << " in [" << lo << ", " << hi << "]";
+        std::fprintf(stderr, "ridc: bad value '%s' for %s (expected %s)\n",
+                     text.c_str(), flag, expected.str().c_str());
+        std::exit(2);
+    }
+    return value;
 }
 
 std::vector<rid::obs::ProvenanceRecord>
@@ -220,20 +255,22 @@ main(int argc, char **argv)
         else if (arg == "--export")
             export_path = next();
         else if (arg == "--max-paths")
-            opts.max_paths = std::atoi(next().c_str());
+            opts.max_paths = parseFlag("--max-paths", next(), 1);
         else if (arg == "--max-subcases")
-            opts.max_subcases = std::atoi(next().c_str());
+            opts.max_subcases = parseFlag("--max-subcases", next(), 1);
         else if (arg == "--threads")
-            opts.threads = std::atoi(next().c_str());
+            opts.threads = parseFlag("--threads", next(), 1, 256);
         else if (arg == "--no-classify")
             opts.classify = false;
         else if (arg == "--deadline")
-            opts.run_deadline_seconds = std::atof(next().c_str());
+            opts.run_deadline_seconds =
+                parseFlag("--deadline", next(), 0.0);
         else if (arg == "--fn-deadline")
-            opts.function_deadline_seconds = std::atof(next().c_str());
+            opts.function_deadline_seconds =
+                parseFlag("--fn-deadline", next(), 0.0);
         else if (arg == "--solver-fuel")
             opts.function_solver_fuel =
-                std::strtoull(next().c_str(), nullptr, 10);
+                parseFlag<uint64_t>("--solver-fuel", next(), 0);
         else if (arg == "--failpoints")
             opts.failpoints = next();
         else if (arg == "--provenance")
@@ -256,9 +293,9 @@ main(int argc, char **argv)
             opts.triage = true;
         else if (arg == "--triage-fuel")
             opts.triage_fuel =
-                std::strtoull(next().c_str(), nullptr, 10);
+                parseFlag<uint64_t>("--triage-fuel", next(), 0);
         else if (arg == "--top")
-            top_n = std::atoi(next().c_str());
+            top_n = parseFlag("--top", next(), 0);
         else if (arg == "--model-bits")
             lower_opts.model_bit_tests = true;
         else if (arg == "--model-stores")

@@ -60,7 +60,7 @@ run_filtered() {
 }
 
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 if command -v clang-tidy > /dev/null; then
@@ -89,32 +89,32 @@ echo "== robustness chaos suite =="
 
 echo "== sanitizer smoke (ASan+UBSan chaos run) =="
 cmake -B build-asan -S . -DRID_SANITIZE=ON
-cmake --build build-asan -j --target test_robustness_chaos
+cmake --build build-asan -j"$(nproc)" --target test_robustness_chaos
 ./build-asan/tests/test_robustness_chaos
 
 # Tokens are string_view slices of the source buffer; a mutated or
 # truncated file that leaves a view dangling shows up here.
 echo "== sanitizer smoke (ASan+UBSan frontend mutation fuzz) =="
-cmake --build build-asan -j --target test_frontend_fuzz \
+cmake --build build-asan -j"$(nproc)" --target test_frontend_fuzz \
     --target test_frontend_lexer
 ./build-asan/tests/test_frontend_fuzz
 ./build-asan/tests/test_frontend_lexer
 
 echo "== sanitizer smoke (ASan+UBSan durable store) =="
-cmake --build build-asan -j --target test_store
+cmake --build build-asan -j"$(nproc)" --target test_store
 ./build-asan/tests/test_store
 
 # Seeded flips, truncations and splices of spec text, WAL segments (some
 # re-framed under a valid CRC) and provenance journals: decoders that
 # trust a length or a count show up here.
 echo "== sanitizer smoke (ASan+UBSan input mutation fuzz) =="
-cmake --build build-asan -j --target test_input_fuzz
+cmake --build build-asan -j"$(nproc)" --target test_input_fuzz
 ./build-asan/tests/test_input_fuzz
 
 # The registry test runs its analyses at four SCC-level threads, so
 # every run counter is incremented concurrently.
 echo "== sanitizer smoke (ASan+UBSan tree executor, oracle, registry) =="
-cmake --build build-asan -j --target test_analysis_tree_exec \
+cmake --build build-asan -j"$(nproc)" --target test_analysis_tree_exec \
     --target test_analyzer_determinism
 ./build-asan/tests/test_analysis_tree_exec
 run_filtered ./build-asan/tests/test_analyzer_determinism \
@@ -124,7 +124,7 @@ run_filtered ./build-asan/tests/test_analyzer_determinism \
 # (per-shard mutexes guarding LRU lists), and compaction runs solver
 # proofs over freshly merged formulas — both are prime ASan territory.
 echo "== sanitizer smoke (ASan+UBSan compaction + interning) =="
-cmake --build build-asan -j --target test_summary_compact
+cmake --build build-asan -j"$(nproc)" --target test_summary_compact
 ./build-asan/tests/test_summary_compact
 run_filtered ./build-asan/tests/test_analyzer_determinism \
     '*Compaction*:*Interning*'

@@ -469,17 +469,10 @@ Analyzer::analyzeFunctionGuarded(const ir::Function &fn,
         tree_opts.budget = budget;
         tree_opts.max_paths = opts_.max_paths;
         tree_opts.max_visits = 2;
-        tree_opts.path_threads = opts_.path_threads;
-        tree_opts.tracer = tracer_.get();
         tree_opts.inst_cache = inst_cache_.get();
-        if (opts_.path_threads > 1)
-            tree_opts.make_solver = [this, budget]() {
-                return makeSolver(budget);
-            };
         tree = executeFunctionTree(fn, db_, solver, tree_opts);
     }
     double symexec_seconds = secondsSince(symexec_t0);
-    fn_solver_stats += tree.worker_solver_stats;
     if (tree.deadline_hit || timedOut())
         return degradeToTimeout();
     bool truncated = tree.truncated;

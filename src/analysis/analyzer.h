@@ -185,11 +185,6 @@ struct AnalyzerOptions
     bool classify = true;
     /** Worker threads for SCC-level parallelism (1 = sequential). */
     int threads = 1;
-    /** Worker threads for path-level parallelism inside one function
-     *  (the Section 7 future-work item: "symbolically executing
-     *  multiple paths in parallel"): independent CFG subtrees of the
-     *  tree walk run on workers. 1 = sequential. */
-    int path_threads = 1;
     /** Seed for the inconsistent-entry drop choice (only consulted when
      *  deterministic_drop is off). */
     uint64_t drop_seed = 0x5eed;
@@ -198,7 +193,7 @@ struct AnalyzerOptions
      *  paper's seeded-random drop for differential testing. */
     bool deterministic_drop = true;
     /** Hash-cons callee-entry instantiations in a sharded cache shared
-     *  across all path and SCC workers (summary/inst_cache.h).
+     *  across all SCC workers (summary/inst_cache.h).
      *  Semantically invisible; only instantiation cost changes. */
     bool intern_instantiations = true;
     /** Effect domains to check (summary/domain.h); empty = all declared
@@ -207,9 +202,9 @@ struct AnalyzerOptions
      *  enabling only `ref` reproduces the pre-domain run exactly. */
     std::vector<std::string> enabled_domains;
     /** Share one memoized solver-verdict cache (smt/query_cache.h)
-     *  between every solver of the run — across SCC-level workers,
-     *  path-level workers and the IPP phase. Results are identical with
-     *  the cache on or off; only repeated-query cost changes. */
+     *  between every solver of the run — across SCC-level workers and
+     *  the IPP phase. Results are identical with the cache on or off;
+     *  only repeated-query cost changes. */
     bool use_query_cache = true;
     /** Optional stronger-property check run on every computed summary
      *  (Sections 2.1 / 4.5); its reports are appended to the IPP ones.

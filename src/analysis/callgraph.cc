@@ -14,7 +14,7 @@ CallGraph::intern(const std::string &name)
     auto [it, inserted] =
         ids_.try_emplace(name, static_cast<int>(names_.size()));
     if (inserted) {
-        names_.push_back(&it->first);
+        names_.push_back(&name);
         fns_.push_back(nullptr);
         edges_.emplace_back();
         redges_.emplace_back();

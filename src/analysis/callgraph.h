@@ -15,6 +15,7 @@
 #define RID_ANALYSIS_CALLGRAPH_H
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,8 +32,8 @@ class CallGraph
      *  each node's callees are in order of first call in its body. */
     explicit CallGraph(const ir::Module &mod);
 
-    // nameOf() hands out references into the name index; a copy would
-    // alias the source's index.
+    // Names and functions are borrowed from the module, which must
+    // outlive the graph; a copy of a whole-kernel graph is never needed.
     CallGraph(const CallGraph &) = delete;
     CallGraph &operator=(const CallGraph &) = delete;
     CallGraph(CallGraph &&) = default;
@@ -89,8 +90,10 @@ class CallGraph
   private:
     int intern(const std::string &name);
 
-    std::unordered_map<std::string, int> ids_;
-    /** Node -> its key in ids_ (map nodes never move). */
+    /** Name -> node; keys view the strings names_ points at. */
+    std::unordered_map<std::string_view, int> ids_;
+    /** Node -> its name: a Function::name() or the Instruction::callee
+     *  of its first call, both owned by the module. */
     std::vector<const std::string *> names_;
     std::vector<const ir::Function *> fns_;
     std::vector<std::vector<int>> edges_;

@@ -15,7 +15,6 @@
 #define RID_ANALYSIS_SYMEXEC_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,10 +23,6 @@
 #include "smt/solver.h"
 #include "summary/db.h"
 #include "summary/inst_cache.h"
-
-namespace rid::obs {
-class Tracer;
-}
 
 namespace rid::analysis {
 
@@ -97,17 +92,10 @@ struct TreeExecOptions
     int max_paths = 100;
     /** Loop unrolling: max times one block may appear on a path. */
     int max_visits = 2;
-    /** Worker threads for subtree-level parallelism (<=1: sequential). */
-    int path_threads = 1;
-    /** Per-worker solver factory; required when path_threads > 1 (the
-     *  shared caller solver is not thread-safe). */
-    std::function<smt::Solver()> make_solver;
-    /** Tracer re-established inside each worker thread; may be null. */
-    obs::Tracer *tracer = nullptr;
     /** Optional shared callee-instantiation cache (summary/inst_cache.h);
      *  null instantiates every call entry from scratch. Semantically
      *  invisible either way. The cache is thread-safe and shared across
-     *  path workers. Not owned; must outlive the call. */
+     *  the analyzer's SCC workers. Not owned; must outlive the call. */
     summary::InstCache *inst_cache = nullptr;
 };
 
@@ -141,9 +129,6 @@ struct TreeExecResult
     /** Callee summary entries instantiated from scratch (inst-cache
      *  misses when a cache is attached; every call entry without). */
     uint64_t entries_instantiated = 0;
-    /** Aggregated stats of per-worker solvers (path_threads > 1); the
-     *  caller's own solver accumulates sequential work as usual. */
-    smt::Solver::Stats worker_solver_stats;
 };
 
 /**
@@ -152,8 +137,8 @@ struct TreeExecResult
  * prefixes per path. With pruning on and below the path cap, equivalent
  * to enumeratePaths + executePath per path: completed outcomes appear in
  * enumeration order and concatenate to the same entry list (infeasible
- * paths contribute no entries under either executor). With path_threads > 1, independent subtrees execute
- * on worker threads and are merged back in deterministic DFS order.
+ * paths contribute no entries under either executor). The walk is
+ * sequential and runs every solver query on @p solver.
  */
 TreeExecResult executeFunctionTree(const ir::Function &fn,
                                    const summary::SummaryDb &db,

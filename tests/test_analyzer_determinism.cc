@@ -2,11 +2,11 @@
  * @file
  * Determinism regression suite for the whole analyzer.
  *
- * analyzer.cc claims its results are deterministic: path-level results
- * are collected per path index, SCC levels only parallelize independent
- * components, and the IPP drop choice is seeded. This suite pins those
- * guarantees down across the full option matrix the shared query cache
- * introduced: threads/path_threads in {1, 4} x query cache {on, off}
+ * analyzer.cc claims its results are deterministic: each function is
+ * executed by one sequential tree walk, SCC levels only parallelize
+ * independent components, and the IPP drop choice is seeded. This suite
+ * pins those guarantees down across the full option matrix the shared
+ * query cache introduced: threads in {1, 4} x query cache {on, off}
  * must all produce byte-identical sorted report sets AND byte-identical
  * summary exports on a representative corpus (the synthetic DPM corpus
  * plus the paper's Figure 9 wrapper example).
@@ -76,8 +76,8 @@ void usb_autopm_put_interface(struct usb_interface *i);
  * spans), which must not perturb any result.
  */
 std::string
-runDigest(const kernel::Corpus &corpus, int threads, int path_threads,
-          bool cache, bool trace = false, double run_deadline = 0,
+runDigest(const kernel::Corpus &corpus, int threads, bool cache,
+          bool trace = false, double run_deadline = 0,
           double fn_deadline = 0, uint64_t solver_fuel = 0,
           const std::string &failpoints = "",
           const std::vector<std::string> &enabled_domains = {},
@@ -85,7 +85,6 @@ runDigest(const kernel::Corpus &corpus, int threads, int path_threads,
 {
     analysis::AnalyzerOptions opts;
     opts.threads = threads;
-    opts.path_threads = path_threads;
     opts.use_query_cache = cache;
     opts.intern_instantiations = intern;
     opts.run_deadline_seconds = run_deadline;
@@ -400,12 +399,12 @@ struct OracleTally
 /**
  * The engine oracle. A full run over @p extra plus @p corpus, then every
  * function the run analyzed is re-executed against the run's final
- * SummaryDb under executeFunctionTree (path_threads 1 and 4) and under
- * the reference executor, enumeratePaths + executePath per path. The
- * entry lists must be equal. Where the structural path cap fires, the
- * reference list must be a prefix of the tree list: the tree executor
- * counts feasible paths against the cap, the enumerator every path
- * (DESIGN.md, "Truncation semantics").
+ * SummaryDb under executeFunctionTree and under the reference executor,
+ * enumeratePaths + executePath per path. The entry lists must be equal.
+ * Where the structural path cap fires, the reference list must be a
+ * prefix of the tree list: the tree executor counts feasible paths
+ * against the cap, the enumerator every path (DESIGN.md, "Truncation
+ * semantics").
  */
 OracleTally
 expectTreeMatchesReference(const std::vector<std::string> &extra,
@@ -449,30 +448,24 @@ expectTreeMatchesReference(const std::vector<std::string> &extra,
                 reference.push_back(oracleLine(e));
         }
 
-        for (int path_threads : {1, 4}) {
-            analysis::TreeExecOptions tree_opts;
-            tree_opts.max_subcases = opts.max_subcases;
-            tree_opts.max_paths = opts.max_paths;
-            tree_opts.max_visits = 2;
-            tree_opts.path_threads = path_threads;
-            tree_opts.make_solver = []() { return smt::Solver(); };
-            smt::Solver solver;
-            auto tree =
-                analysis::executeFunctionTree(*fn, db, solver, tree_opts);
-            std::vector<std::string> lines;
-            for (const auto &outcome : tree.completed)
-                for (const auto &e : outcome.entries)
-                    lines.push_back(oracleLine(e));
-            if (paths.truncated) {
-                EXPECT_TRUE(reference.size() <= lines.size() &&
-                            std::equal(reference.begin(), reference.end(),
-                                       lines.begin()))
-                    << cost.name << " path_threads=" << path_threads;
-            } else {
-                EXPECT_EQ(lines, reference)
-                    << cost.name << " path_threads=" << path_threads;
-                EXPECT_EQ(tree.truncated, ref_truncated) << cost.name;
-            }
+        analysis::TreeExecOptions tree_opts;
+        tree_opts.max_subcases = opts.max_subcases;
+        tree_opts.max_paths = opts.max_paths;
+        tree_opts.max_visits = 2;
+        smt::Solver solver;
+        auto tree = analysis::executeFunctionTree(*fn, db, solver, tree_opts);
+        std::vector<std::string> lines;
+        for (const auto &outcome : tree.completed)
+            for (const auto &e : outcome.entries)
+                lines.push_back(oracleLine(e));
+        if (paths.truncated) {
+            EXPECT_TRUE(reference.size() <= lines.size() &&
+                        std::equal(reference.begin(), reference.end(),
+                                   lines.begin()))
+                << cost.name;
+        } else {
+            EXPECT_EQ(lines, reference) << cost.name;
+            EXPECT_EQ(tree.truncated, ref_truncated) << cost.name;
         }
         tally.functions++;
         tally.capped += paths.truncated;
@@ -502,13 +495,13 @@ kernel::Corpus AnalyzerDeterminismTest::multi_corpus_;
 
 TEST_F(AnalyzerDeterminismTest, ThreadsByCacheMatrixIsByteIdentical)
 {
-    std::string baseline = runDigest(corpus_, 1, 1, false);
+    std::string baseline = runDigest(corpus_, 1, false);
     ASSERT_FALSE(baseline.empty());
     for (int threads : {1, 4}) {
         for (bool cache : {false, true}) {
             if (threads == 1 && !cache)
                 continue;  // that is the baseline itself
-            EXPECT_EQ(runDigest(corpus_, threads, threads, cache),
+            EXPECT_EQ(runDigest(corpus_, threads, cache),
                       baseline)
                 << "threads=" << threads << " cache=" << cache;
         }
@@ -520,9 +513,9 @@ TEST_F(AnalyzerDeterminismTest, TracingDoesNotPerturbResults)
     // Span recording (including per-query solver spans) must be purely
     // observational: the digest stays byte-identical to the untraced
     // baseline at every thread count.
-    std::string baseline = runDigest(corpus_, 1, 1, true);
+    std::string baseline = runDigest(corpus_, 1, true);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, threads, true, true),
+        EXPECT_EQ(runDigest(corpus_, threads, true, true),
                   baseline)
             << "threads=" << threads << " trace=on";
     }
@@ -533,7 +526,7 @@ TEST_F(AnalyzerDeterminismTest, RepeatedRunsAreByteIdentical)
     // Same configuration twice: catches any residual run-to-run
     // nondeterminism (iteration over pointer-keyed containers, races on
     // the shared cache, ...).
-    EXPECT_EQ(runDigest(corpus_, 4, 4, true), runDigest(corpus_, 4, 4, true));
+    EXPECT_EQ(runDigest(corpus_, 4, true), runDigest(corpus_, 4, true));
 }
 
 TEST_F(AnalyzerDeterminismTest, EmittedReportOrderIsThreadInvariant)
@@ -558,9 +551,9 @@ TEST_F(AnalyzerDeterminismTest, GenerousBudgetIsByteIdenticalToNoBudget)
     // the solver, path enumerator and symexec must be purely
     // observational until expiry. An hour-scale deadline and huge fuel
     // allowance cannot plausibly fire on this corpus.
-    std::string baseline = runDigest(corpus_, 1, 1, true);
+    std::string baseline = runDigest(corpus_, 1, true);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, threads, true, false,
+        EXPECT_EQ(runDigest(corpus_, threads, true, false,
                             /*run_deadline=*/3600,
                             /*fn_deadline=*/3600,
                             /*solver_fuel=*/1ull << 60),
@@ -582,12 +575,12 @@ TEST_F(AnalyzerDeterminismTest, BudgetAndFaultOutcomesArePinned)
     // query degrades to Timeout ("budget: fuel"), so the pin fixes which
     // functions make a query at all.
     std::string fuel =
-        runDigest(corpus_, 1, 1, false, false, 0, 0, /*solver_fuel=*/1);
+        runDigest(corpus_, 1, false, false, 0, 0, /*solver_fuel=*/1);
     EXPECT_NE(fuel.find("budget: fuel"), std::string::npos);
     EXPECT_EQ(pin(fuel), "0x46df1f4821af47f8");
 
     // A generous budget never fires: budget plumbing is observational.
-    EXPECT_EQ(pin(runDigest(corpus_, 1, 1, true, false,
+    EXPECT_EQ(pin(runDigest(corpus_, 1, true, false,
                             /*run_deadline=*/3600, /*fn_deadline=*/3600,
                             /*solver_fuel=*/1ull << 60)),
               "0x117e6708f9d8b74f");
@@ -604,7 +597,7 @@ TEST_F(AnalyzerDeterminismTest, BudgetAndFaultOutcomesArePinned)
     };
     for (const auto &[spec, want] : faults) {
         std::string digest =
-            runDigest(corpus_, 1, 1, true, false, 0, 0, 0, spec);
+            runDigest(corpus_, 1, true, false, 0, 0, 0, spec);
         EXPECT_NE(digest.find("degraded"), std::string::npos)
             << "fault did not fire under spec " << spec << ":\n"
             << digest;
@@ -627,9 +620,9 @@ TEST_F(AnalyzerDeterminismTest, RefOnlyDomainFilterIsByteIdentical)
     // same summaries, same diagnostics — across thread counts. The
     // filter machinery (seed selection, the IPP pre-pass) must be
     // invisible when it selects everything there is.
-    std::string baseline = runDigest(corpus_, 1, 1, false);
+    std::string baseline = runDigest(corpus_, 1, false);
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(corpus_, threads, threads, false, false, 0, 0,
+        EXPECT_EQ(runDigest(corpus_, threads, false, false, 0, 0,
                             0, "", {"ref"}),
                   baseline)
             << "threads=" << threads << " domains=ref";
@@ -642,8 +635,8 @@ TEST_F(AnalyzerDeterminismTest, DomainSpecsDoNotPerturbRefScan)
     // balanced-policy domains and so activate the balanced pre-pass)
     // must not change a single byte of the refcount scan when the
     // corpus never calls a lock/alloc primitive.
-    std::string baseline = runDigest(corpus_, 1, 1, false);
-    EXPECT_EQ(runDigest(corpus_, 1, 1, false, false, 0, 0, 0, "", {},
+    std::string baseline = runDigest(corpus_, 1, false);
+    EXPECT_EQ(runDigest(corpus_, 1, false, false, 0, 0, 0, "", {},
                         /*load_domain_specs=*/true),
               baseline);
 }
@@ -653,22 +646,22 @@ TEST_F(AnalyzerDeterminismTest, MultiDomainScanIsByteIdentical)
     // A corpus that mixes refcount, lock and alloc patterns, analyzed
     // with all three domains' specs loaded, must stay byte-identical
     // across the same matrix the refcount corpus is pinned on.
-    std::string baseline = runDigest(multi_corpus_, 1, 1, false, false,
+    std::string baseline = runDigest(multi_corpus_, 1, false, false,
                                      0, 0, 0, "", {}, true);
     ASSERT_NE(baseline.find("unbalanced at return"), std::string::npos)
         << "multi-domain corpus produced no balanced-policy reports";
     for (int threads : {1, 4}) {
-        EXPECT_EQ(runDigest(multi_corpus_, threads, threads, true, false,
+        EXPECT_EQ(runDigest(multi_corpus_, threads, true, false,
                             0, 0, 0, "", {}, true),
                   baseline)
             << "threads=" << threads << " multi-domain";
     }
     // Filtering the same corpus down to `ref` suppresses every
     // balanced-policy report deterministically.
-    std::string ref_only = runDigest(multi_corpus_, 1, 1, false, false,
+    std::string ref_only = runDigest(multi_corpus_, 1, false, false,
                                      0, 0, 0, "", {"ref"}, true);
     EXPECT_EQ(ref_only.find("unbalanced at return"), std::string::npos);
-    EXPECT_EQ(runDigest(multi_corpus_, 4, 4, true, false, 0, 0, 0, "",
+    EXPECT_EQ(runDigest(multi_corpus_, 4, true, false, 0, 0, 0, "",
                         {"ref"}, true),
               ref_only);
 }
@@ -682,7 +675,7 @@ TEST_F(AnalyzerDeterminismTest, CompactionPreservesReportsAndDiagnostics)
     // asserted byte-identical to the compacted one, across thread counts.
     for (int threads : {1, 4}) {
         std::string digest = stripSummaries(
-            runDigest(corpus_, threads, threads, false));
+            runDigest(corpus_, threads, false));
         EXPECT_EQ(obs::fpHex(smt::fpBytes(digest)), "0x7d14b490b4f11735")
             << "threads=" << threads;
     }
@@ -717,14 +710,14 @@ TEST_F(AnalyzerDeterminismTest, InterningIsByteIdenticalIncludingSummaries)
     // — reports, summaries and diagnostics — is byte-identical with the
     // cache off and on, across thread counts, and equal to a recorded
     // digest.
-    std::string baseline = runDigest(corpus_, 1, 1, false, false, 0, 0, 0,
+    std::string baseline = runDigest(corpus_, 1, false, false, 0, 0, 0,
                                      "", {}, false, /*intern=*/false);
     EXPECT_EQ(obs::fpHex(smt::fpBytes(baseline)), "0x117e6708f9d8b74f");
     for (int threads : {1, 4}) {
         for (bool intern : {false, true}) {
             if (threads == 1 && !intern)
                 continue;  // the baseline itself
-            EXPECT_EQ(runDigest(corpus_, threads, threads, false, false, 0,
+            EXPECT_EQ(runDigest(corpus_, threads, false, false, 0,
                                 0, 0, "", {}, false, intern),
                       baseline)
                 << "threads=" << threads << " intern=" << intern;
@@ -758,10 +751,10 @@ class InjectedDeterminismTest : public ::testing::Test
      *  and the tier-suffixed rendering — any tier or rank divergence
      *  across configurations shows up byte-for-byte. */
     static std::string
-    triageDigest(int path_threads, bool cache)
+    triageDigest(int threads, bool cache)
     {
         analysis::AnalyzerOptions opts;
-        opts.path_threads = path_threads;
+        opts.threads = threads;
         opts.use_query_cache = cache;
         opts.triage = true;
         Rid tool(opts);
@@ -789,10 +782,10 @@ class InjectedDeterminismTest : public ::testing::Test
     /** Sorted fingerprint set of one run (one fpHex + report line per
      *  report), asserting every report is stamped. */
     static std::string
-    fingerprintDigest(int path_threads, bool cache)
+    fingerprintDigest(int threads, bool cache)
     {
         analysis::AnalyzerOptions opts;
-        opts.path_threads = path_threads;
+        opts.threads = threads;
         opts.use_query_cache = cache;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
@@ -896,10 +889,10 @@ class InjectedDeterminismTest : public ::testing::Test
     }
 
     static ScoredRun
-    run(int path_threads, bool intern = true)
+    run(int threads, bool intern = true)
     {
         analysis::AnalyzerOptions opts;
-        opts.path_threads = path_threads;
+        opts.threads = threads;
         opts.intern_instantiations = intern;
         Rid tool(opts);
         tool.loadSpecText(kernel::dpmSpecText());
@@ -928,7 +921,7 @@ kernel::InjectedCorpus InjectedDeterminismTest::triage_injected_;
 TEST_F(InjectedDeterminismTest, TriageTiersAndRanksAreConfigInvariant)
 {
     // The triage contract: tiers and ranks are byte-identical across
-    // path_threads {1, 4} x query cache {on, off}. The digest is the
+    // threads {1, 4} x query cache {on, off}. The digest is the
     // rank-ordered report list, so a rank permutation is as visible as
     // a tier flip.
     std::string baseline = triageDigest(1, /*cache=*/false);
@@ -937,12 +930,12 @@ TEST_F(InjectedDeterminismTest, TriageTiersAndRanksAreConfigInvariant)
     ASSERT_NE(baseline.find("{confirmed}"), std::string::npos)
         << baseline;
     ASSERT_NE(baseline.find("{refuted}"), std::string::npos) << baseline;
-    for (int path_threads : {1, 4}) {
+    for (int threads : {1, 4}) {
         for (bool cache : {false, true}) {
-            if (path_threads == 1 && !cache)
+            if (threads == 1 && !cache)
                 continue;  // the baseline itself
-            EXPECT_EQ(triageDigest(path_threads, cache), baseline)
-                << "path_threads=" << path_threads << " cache=" << cache;
+            EXPECT_EQ(triageDigest(threads, cache), baseline)
+                << "threads=" << threads << " cache=" << cache;
         }
     }
 }
@@ -951,7 +944,7 @@ TEST_F(InjectedDeterminismTest, InjectedScoresAreThreadInvariant)
 {
     // The ground-truth scores are a *measurement* — they must not move
     // with the execution strategy. Scale-0.05 injected corpus: reports
-    // byte-identical and precision/recall identical across path_threads
+    // byte-identical and precision/recall identical across threads
     // {1, 4}.
     ASSERT_GT(injected_.injections.size(), 10u);
     ScoredRun baseline = run(1);
@@ -964,7 +957,7 @@ TEST_F(InjectedDeterminismTest, InjectedScoresAreThreadInvariant)
               static_cast<int>(injected_.injections.size()));
 
     ScoredRun other = run(4);
-    EXPECT_EQ(other.digest, baseline.digest) << "path_threads=4";
+    EXPECT_EQ(other.digest, baseline.digest) << "threads=4";
     EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
     EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
     EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
@@ -980,11 +973,41 @@ TEST_F(InjectedDeterminismTest, InjectedScoresAreThreadInvariant)
     }
 }
 
+TEST_F(InjectedDeterminismTest, WorkCountersAreThreadInvariant)
+{
+    // Each function is executed by one sequential tree walk, so the work
+    // counters depend on the corpus alone, never on the SCC thread count
+    // or the schedule. Instantiation and solver counters are left out:
+    // they follow shared-cache hit timing (DESIGN.md, "Counters").
+    auto counters = [](int threads) {
+        analysis::AnalyzerOptions opts;
+        opts.threads = threads;
+        Rid tool(opts);
+        tool.loadSpecText(kernel::dpmSpecText());
+        tool.loadSpecText(kernel::lockSpecText());
+        tool.loadSpecText(kernel::allocSpecText());
+        for (const auto &file : injected_.corpus.files)
+            tool.addSource(file.text);
+        const Stats s = tool.run().stats;
+        return std::vector<size_t>{
+            s.functions_analyzed, s.functions_defaulted,
+            s.functions_truncated, s.paths_enumerated,
+            s.entries_computed,   s.blocks_executed,
+            s.state_forks,        s.subtrees_pruned,
+            s.summary_entries_compacted};
+    };
+    const std::vector<size_t> pinned = {492, 13211, 0,   1296, 1296,
+                                        2789, 916,  112, 96};
+    EXPECT_EQ(counters(1), pinned);
+    EXPECT_EQ(counters(4), pinned);
+    EXPECT_EQ(counters(4), pinned);
+}
+
 TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
 {
     // Ground-truth scores on the injected corpus must survive both
     // perf attacks: report digests and precision/recall are identical
-    // with interning off and on across path_threads {1, 4}, and equal to
+    // with interning off and on across threads {1, 4}, and equal to
     // what was recorded when compaction could still be switched off and
     // every compaction x interning combination was asserted identical.
     ScoredRun baseline = run(1, /*intern=*/false);
@@ -992,13 +1015,13 @@ TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
     EXPECT_EQ(baseline.score.total.tp, 47);
     EXPECT_EQ(baseline.score.total.fp, 0);
     EXPECT_EQ(baseline.score.total.fn, 0);
-    for (int path_threads : {1, 4}) {
+    for (int threads : {1, 4}) {
         for (bool intern : {false, true}) {
-            if (path_threads == 1 && !intern)
+            if (threads == 1 && !intern)
                 continue;  // the baseline itself
-            ScoredRun other = run(path_threads, intern);
+            ScoredRun other = run(threads, intern);
             EXPECT_EQ(other.digest, baseline.digest)
-                << "path_threads=" << path_threads << " intern=" << intern;
+                << "threads=" << threads << " intern=" << intern;
             EXPECT_EQ(other.score.total.tp, baseline.score.total.tp);
             EXPECT_EQ(other.score.total.fp, baseline.score.total.fp);
             EXPECT_EQ(other.score.total.fn, baseline.score.total.fn);
@@ -1156,18 +1179,18 @@ TEST_F(InjectedDeterminismTest, TriageSharesTheRunCallGraph)
 TEST_F(InjectedDeterminismTest, FingerprintsAreConfigInvariant)
 {
     // The provenance contract: report fingerprints are a stable identity,
-    // byte-identical across path_threads {1, 4} x query cache {on, off}
+    // byte-identical across threads {1, 4} x query cache {on, off}
     // on the injected smoke corpus. Any configuration leaking into the
     // fingerprint recipe (e.g. cache hit/miss evidence) breaks cross-run
     // diffing and shows up here.
     std::string baseline = fingerprintDigest(1, /*cache=*/false);
     ASSERT_FALSE(baseline.empty());
-    for (int path_threads : {1, 4}) {
+    for (int threads : {1, 4}) {
         for (bool cache : {false, true}) {
-            if (path_threads == 1 && !cache)
+            if (threads == 1 && !cache)
                 continue;  // the baseline itself
-            EXPECT_EQ(fingerprintDigest(path_threads, cache), baseline)
-                << "path_threads=" << path_threads << " cache=" << cache;
+            EXPECT_EQ(fingerprintDigest(threads, cache), baseline)
+                << "threads=" << threads << " cache=" << cache;
         }
     }
 }
@@ -1177,8 +1200,8 @@ TEST_F(AnalyzerDeterminismTest, CacheDoesNotChangeReportCount)
     // Cheap cross-check on the Figure 9 example alone: the cache must
     // not create or mask reports.
     kernel::Corpus empty;
-    std::string with = runDigest(empty, 1, 1, true);
-    std::string without = runDigest(empty, 1, 1, false);
+    std::string with = runDigest(empty, 1, true);
+    std::string without = runDigest(empty, 1, false);
     EXPECT_EQ(with, without);
     EXPECT_NE(with.find("idmouse_open"), std::string::npos)
         << "Figure 9 bug not reported; digest:\n"

@@ -363,6 +363,54 @@ TEST(RidcCli, UnknownDomainIsAClearError)
     EXPECT_NE(r.output.find("unknown domain 'locks'"), std::string::npos);
 }
 
+TEST(RidcCli, BadNumericFlagIsAClearError)
+{
+    // Every numeric flag must consume its whole token and land in range;
+    // atoi read `--threads 4x` as 4 and `--max-paths abc` as 0, and an
+    // out-of-range --threads starts that many workers per SCC level.
+    std::string lock = writeTemp("cli_lock.spec",
+                                 kernel::lockSpecText());
+    std::string src = writeTemp("cli_lock.c", kLockLeakSource);
+    const std::pair<const char *, const char *> bad[] = {
+        {"--threads", "4x"},
+        {"--threads", "0"},
+        {"--threads", "257"},
+        {"--threads", "-1"},
+        {"--threads", "99999999999999999999"},
+        {"--max-paths", "abc"},
+        {"--max-paths", "0"},
+        {"--max-subcases", "0"},
+        {"--max-subcases", "10.5"},
+        {"--top", "-1"},
+        {"--top", "3x"},
+        {"--solver-fuel", "-5"},
+        {"--solver-fuel", "1e3"},
+        {"--triage-fuel", "99999999999999999999999"},
+        {"--deadline", "nan"},
+        {"--deadline", "inf"},
+        {"--deadline", "-1"},
+        {"--fn-deadline", "1s"},
+        {"--fn-deadline", ""},
+    };
+    for (const auto &[flag, value] : bad) {
+        CliResult r = runCli("--spec " + lock + " " + flag + " '" + value +
+                             "' " + src);
+        EXPECT_EQ(r.exit_code, 2) << flag << " " << value;
+        EXPECT_NE(r.output.find(std::string("bad value '") + value +
+                                "' for " + flag),
+                  std::string::npos)
+            << r.output;
+    }
+    // In-range values, including the bounds, still scan.
+    CliResult ok = runCli("--spec " + lock +
+                          " --threads 256 --max-paths 1 --max-subcases 1"
+                          " --top 0 --solver-fuel 0 --triage-fuel 0"
+                          " --deadline 0 --fn-deadline 2.5 " +
+                          src);
+    EXPECT_EQ(ok.exit_code, 1) << ok.output;
+    EXPECT_NE(ok.output.find("unbalanced at return"), std::string::npos);
+}
+
 TEST(RidcCli, DomainsFilterControlsTheScan)
 {
     std::string lock = writeTemp("cli_lock.spec",

@@ -57,7 +57,6 @@ tracedRun(int threads, const kernel::Corpus *corpus = nullptr)
     auto tracer = std::make_shared<obs::Tracer>();
     analysis::AnalyzerOptions opts;
     opts.threads = threads;
-    opts.path_threads = threads;
     opts.tracer = tracer;
     Rid tool(opts);
     tool.loadSpecText(kernel::dpmSpecText());
