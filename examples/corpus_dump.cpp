@@ -12,17 +12,19 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+
+#include "cli_args.h"
 
 #include "kernel/generator.h"
 
 int
 main(int argc, char **argv)
 {
-    double scale = argc > 1 ? std::atof(argv[1]) : 0.01;
-    uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 0x101;
+    const char *prog = "corpus_dump";
+    double scale = argc > 1 ? rid::cli::parseScale(prog, argv[1]) : 0.01;
+    uint64_t seed = argc > 2 ? rid::cli::parseSeed(prog, argv[2]) : 0x101;
     std::string outdir = argc > 3 ? argv[3] : "corpus.out";
 
     auto mix = rid::kernel::CorpusMix::paperCalibrated(scale);

@@ -16,8 +16,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
+
+#include "cli_args.h"
 
 #include "core/rid.h"
 #include "kernel/dpm_specs.h"
@@ -26,8 +27,9 @@
 int
 main(int argc, char **argv)
 {
-    double scale = argc > 1 ? std::atof(argv[1]) : 0.01;
-    uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 0x101;
+    const char *prog = "linux_dpm_scan";
+    double scale = argc > 1 ? rid::cli::parseScale(prog, argv[1]) : 0.01;
+    uint64_t seed = argc > 2 ? rid::cli::parseSeed(prog, argv[2]) : 0x101;
 
     auto mix = rid::kernel::CorpusMix::paperCalibrated(scale);
     auto corpus = rid::kernel::generateCorpus(mix, seed);

@@ -48,18 +48,15 @@
  *   --summaries        print all computed summaries after analyzing
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <system_error>
-#include <type_traits>
 #include <vector>
+
+#include "cli_args.h"
 
 #include "analysis/dot.h"
 #include "core/report_format.h"
@@ -67,6 +64,8 @@
 #include "kernel/dpm_specs.h"
 #include "pyc/pyc_specs.h"
 #include "summary/domain.h"
+
+using rid::cli::parseFlag;
 
 namespace {
 
@@ -104,35 +103,6 @@ usage()
                  "       ridc explain <fingerprint|all> <journal.jsonl>\n"
                  "       ridc diff-runs <old.jsonl> <new.jsonl>\n");
     std::exit(2);
-}
-
-/** The value of numeric flag @p flag: all of @p text must parse as a T
- *  in [@p lo, @p hi] (a floating-point value must also be finite), or
- *  ridc exits 2 naming the flag and the value. */
-template <typename T>
-T
-parseFlag(const char *flag, const std::string &text, T lo,
-          T hi = std::numeric_limits<T>::max())
-{
-    T value{};
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    bool ok = ec == std::errc() && ptr == end && value >= lo && value <= hi;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(value);
-    if (!ok) {
-        std::ostringstream expected;
-        expected << (std::is_floating_point_v<T> ? "a finite number"
-                                                 : "an integer");
-        if (hi == std::numeric_limits<T>::max())
-            expected << " >= " << lo;
-        else
-            expected << " in [" << lo << ", " << hi << "]";
-        std::fprintf(stderr, "ridc: bad value '%s' for %s (expected %s)\n",
-                     text.c_str(), flag, expected.str().c_str());
-        std::exit(2);
-    }
-    return value;
 }
 
 std::vector<rid::obs::ProvenanceRecord>
@@ -255,22 +225,22 @@ main(int argc, char **argv)
         else if (arg == "--export")
             export_path = next();
         else if (arg == "--max-paths")
-            opts.max_paths = parseFlag("--max-paths", next(), 1);
+            opts.max_paths = parseFlag("ridc", "--max-paths", next(), 1);
         else if (arg == "--max-subcases")
-            opts.max_subcases = parseFlag("--max-subcases", next(), 1);
+            opts.max_subcases = parseFlag("ridc", "--max-subcases", next(), 1);
         else if (arg == "--threads")
-            opts.threads = parseFlag("--threads", next(), 1, 256);
+            opts.threads = parseFlag("ridc", "--threads", next(), 1, 256);
         else if (arg == "--no-classify")
             opts.classify = false;
         else if (arg == "--deadline")
             opts.run_deadline_seconds =
-                parseFlag("--deadline", next(), 0.0);
+                parseFlag("ridc", "--deadline", next(), 0.0);
         else if (arg == "--fn-deadline")
             opts.function_deadline_seconds =
-                parseFlag("--fn-deadline", next(), 0.0);
+                parseFlag("ridc", "--fn-deadline", next(), 0.0);
         else if (arg == "--solver-fuel")
             opts.function_solver_fuel =
-                parseFlag<uint64_t>("--solver-fuel", next(), 0);
+                parseFlag<uint64_t>("ridc", "--solver-fuel", next(), 0);
         else if (arg == "--failpoints")
             opts.failpoints = next();
         else if (arg == "--provenance")
@@ -293,9 +263,9 @@ main(int argc, char **argv)
             opts.triage = true;
         else if (arg == "--triage-fuel")
             opts.triage_fuel =
-                parseFlag<uint64_t>("--triage-fuel", next(), 0);
+                parseFlag<uint64_t>("ridc", "--triage-fuel", next(), 0);
         else if (arg == "--top")
-            top_n = parseFlag("--top", next(), 0);
+            top_n = parseFlag("ridc", "--top", next(), 0);
         else if (arg == "--model-bits")
             lower_opts.model_bit_tests = true;
         else if (arg == "--model-stores")
@@ -420,8 +390,12 @@ main(int argc, char **argv)
     if (dump_summaries)
         std::printf("%s", tool.exportSummaries().c_str());
     if (!export_path.empty()) {
-        std::ofstream out(export_path);
-        out << tool.exportSummaries();
+        try {
+            rid::writeTextFile(export_path, tool.exportSummaries(), "export");
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "ridc: %s\n", e.what());
+            return 2;
+        }
     }
     return result.reports.empty() ? 0 : 1;
 }

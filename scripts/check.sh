@@ -25,7 +25,10 @@
 # exactly the kind of shared-ownership code ASan exists for), runs the
 # summary-compaction unit suite plus the compaction/interning
 # determinism pins under ASan (the sharded instantiation cache is
-# shared mutable state), refreshes
+# shared mutable state), runs the shared sharded-cache suites (query
+# cache, collision handling, the cached-vs-uncached solver differential
+# and its 4-thread variant, the instantiation cache) under ASan,
+# refreshes
 # BENCH_performance.json at the repo root (the microbenchmarks
 # themselves are skipped via a non-matching filter — only the
 # trajectory-record workload runs, including the provenance journal
@@ -128,6 +131,17 @@ cmake --build build-asan -j"$(nproc)" --target test_summary_compact
 ./build-asan/tests/test_summary_compact
 run_filtered ./build-asan/tests/test_analyzer_determinism \
     '*Compaction*:*Interning*'
+
+# smt::ShardedCache is the one LRU behind both the solver-verdict and
+# the instantiation cache: per-shard mutexes guarding lists and indexes
+# that every SCC worker shares. SolverCacheDifferential includes the
+# 4-thread shared-cache test.
+echo "== sanitizer smoke (ASan+UBSan shared caches) =="
+cmake --build build-asan -j"$(nproc)" --target test_smt_cache \
+    --target test_summary_compact
+run_filtered ./build-asan/tests/test_smt_cache \
+    'QueryCache.*:ShardedCache.*:SolverCacheDifferential.*'
+run_filtered ./build-asan/tests/test_summary_compact 'InstCache.*'
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

@@ -435,20 +435,19 @@ Rid::exportSummaries() const
     return db_.saveComputed();
 }
 
-namespace {
-
 void
 writeTextFile(const std::string &path, const std::string &contents,
               const char *what)
 {
     std::ofstream out(path);
+    if (out) {
+        out << contents;
+        out.flush();
+    }
     if (!out)
         throw std::runtime_error(std::string("cannot write ") + what +
                                  " file: " + path);
-    out << contents;
 }
-
-} // anonymous namespace
 
 RunResult
 Rid::run()

@@ -91,6 +91,13 @@ provenanceRecords(const std::vector<analysis::BugReport> &reports,
 /** Convenience overload over a finished run. */
 std::vector<obs::ProvenanceRecord> provenanceRecords(const RunResult &result);
 
+/** Write @p contents to @p path, replacing it. Throws
+ *  std::runtime_error("cannot write <what> file: <path>") when the file
+ *  cannot be opened or the write or flush fails (a missing directory, a
+ *  full disk). */
+void writeTextFile(const std::string &path, const std::string &contents,
+                   const char *what);
+
 class Rid
 {
   public:

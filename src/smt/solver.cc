@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <numeric>
+#include <optional>
 
 #include "obs/budget.h"
 #include "obs/failpoint.h"
@@ -25,6 +26,13 @@ satResultName(SatResult r)
 }
 
 namespace {
+
+/** Max constraints materialized during one FM elimination. */
+constexpr long kMaxFmConstraints = 20000;
+/** Node cap for the bounded model search fallback. */
+constexpr int kMaxSearchNodes = 100000;
+/** Half-width of the search box for unbounded variables. */
+constexpr int64_t kSearchBound = 64;
 
 /** Combine two SatResults where the caller needs *any* branch sat. */
 SatResult
@@ -109,8 +117,14 @@ tighten(FmCons &c)
 
 } // anonymous namespace
 
+/**
+ * The query protocol check() and checkChain() share: the trivial
+ * True/False short-circuit, the budget gate, the cache lookup and
+ * insert, timing and provenance. @p solve decides @p f on a cache miss.
+ */
+template <typename Solve>
 SatResult
-Solver::check(const Formula &f)
+Solver::decide(const Formula &f, Solve solve)
 {
     stats_.queries++;
     if (f.isTrue()) {
@@ -135,26 +149,14 @@ Solver::check(const Formula &f)
     obs::Span span(opts_.trace_queries ? obs::currentTracer() : nullptr,
                    "smt", "solver-query");
     auto t0 = std::chrono::steady_clock::now();
-    SatResult r;
-    bool cached_hit = false;
+    std::optional<SatResult> cached;
     if (cache_) {
-        if (auto cached = cache_->lookup(f, opts_.cache_pass)) {
-            stats_.cache_hits++;
-            cached_hit = true;
-            r = *cached;
-        } else {
-            stats_.cache_misses++;
-        }
+        cached = cache_->lookup(f, opts_.cache_pass);
+        (cached ? stats_.cache_hits : stats_.cache_misses)++;
     }
-    if (!cached_hit) {
-        Formula n = f.nnf();
-        std::vector<LinLit> acc;
-        VarSpace space;
-        int budget = opts_.max_branches;
-        r = enumerate(n, acc, space, budget);
-        if (cache_)
-            cache_->insert(f, r, opts_.cache_pass);
-    }
+    SatResult r = cached ? *cached : solve();
+    if (cache_ && !cached)
+        cache_->insert(f, r, opts_.cache_pass);
     uint64_t ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
@@ -163,10 +165,21 @@ Solver::check(const Formula &f)
     if (latency_hist_)
         latency_hist_->observe(ns * 1e-9);
     span.arg("result", satResultName(r));
-    if (cached_hit)
+    if (cached)
         span.arg("cache", "hit");
     last_query_ = QueryInfo{f.fingerprint(), r, false, 1};
     return r;
+}
+
+SatResult
+Solver::check(const Formula &f)
+{
+    return decide(f, [&] {
+        std::vector<LinLit> acc;
+        VarSpace space;
+        int budget = opts_.max_branches;
+        return enumerate(f.nnf(), acc, space, budget);
+    });
 }
 
 bool
@@ -184,40 +197,7 @@ Solver::checkChain(const CondChain &chain)
         // produced by the executors; decided by the batch path.
         return check(chain.formula());
     }
-    stats_.queries++;
-    Formula f = chain.formula();
-    if (f.isTrue()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Sat, true, 0};
-        return SatResult::Sat;
-    }
-    if (f.isFalse()) {
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unsat, true, 0};
-        return SatResult::Unsat;
-    }
-    obs::failpoint("smt.solver.check");
-    // Same budget gate as check(): fuel before the cache, Unknown
-    // without polluting shared verdicts.
-    if (budget_ && (!budget_->consumeFuel() || budget_->expiredNow())) {
-        stats_.budget_stops++;
-        stats_.unknowns++;
-        last_query_ = QueryInfo{f.fingerprint(), SatResult::Unknown, false, 1};
-        return SatResult::Unknown;
-    }
-    obs::Span span(opts_.trace_queries ? obs::currentTracer() : nullptr,
-                   "smt", "solver-query");
-    auto t0 = std::chrono::steady_clock::now();
-    SatResult r;
-    bool cached_hit = false;
-    if (cache_) {
-        if (auto cached = cache_->lookup(f, opts_.cache_pass)) {
-            stats_.cache_hits++;
-            cached_hit = true;
-            r = *cached;
-        } else {
-            stats_.cache_misses++;
-        }
-    }
-    if (!cached_hit) {
+    return decide(chain.formula(), [&] {
         // The chain already holds the literals check() would collect
         // from nnf(f)'s top level, in the same order and against the
         // same VarSpace id assignment; only pending disjunctions are
@@ -226,30 +206,14 @@ Solver::checkChain(const CondChain &chain)
         std::vector<Formula> pendings;
         VarSpace space;
         chain.materialize(acc, pendings, space);
+        if (pendings.empty())
+            return theoryCheck(acc);
+        // conj of the pending Ors reproduces the single-pending
+        // recursion / first-Or distribution of the And case.
         int budget = opts_.max_branches;
-        if (pendings.empty()) {
-            r = theoryCheck(acc);
-        } else {
-            // conj of the pending Ors reproduces the single-pending
-            // recursion / first-Or distribution of the And case.
-            r = enumerate(Formula::conj(std::move(pendings)), acc, space,
-                          budget);
-        }
-        if (cache_)
-            cache_->insert(f, r, opts_.cache_pass);
-    }
-    uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    stats_.solve_ns += ns;
-    if (latency_hist_)
-        latency_hist_->observe(ns * 1e-9);
-    span.arg("result", satResultName(r));
-    if (cached_hit)
-        span.arg("cache", "hit");
-    last_query_ = QueryInfo{f.fingerprint(), r, false, 1};
-    return r;
+        return enumerate(Formula::conj(std::move(pendings)), acc, space,
+                         budget);
+    });
 }
 
 bool
@@ -524,7 +488,7 @@ Solver::theoryCheck(std::vector<LinLit> lits)
         if (static_cast<long>(rest.size()) +
                 static_cast<long>(lowers.size()) *
                     static_cast<long>(uppers.size()) >
-            static_cast<long>(opts_.max_fm_constraints)) {
+            kMaxFmConstraints) {
             stats_.unknowns++;
             return SatResult::Unknown;
         }
@@ -583,7 +547,7 @@ Solver::searchFallback(const std::vector<LinLit> &lits)
     // Initial intervals from unit constraints.
     std::map<VarId, std::pair<int64_t, int64_t>> box;
     for (VarId v : vars)
-        box[v] = {-opts_.search_bound, opts_.search_bound};
+        box[v] = {-kSearchBound, kSearchBound};
     for (const auto &l : lits) {
         if (l.expr.terms().size() != 1)
             continue;
@@ -609,7 +573,7 @@ Solver::searchFallback(const std::vector<LinLit> &lits)
     std::map<VarId, int64_t> assignment;
     int nodes = 0;
     std::function<SatResult(size_t)> rec = [&](size_t idx) -> SatResult {
-        if (++nodes > opts_.max_search_nodes)
+        if (++nodes > kMaxSearchNodes)
             return SatResult::Unknown;
         if (idx == vars.size()) {
             for (const auto &l : lits)

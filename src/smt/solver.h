@@ -75,12 +75,6 @@ class Solver
     {
         /** Max disjunction/disequality branches explored per query. */
         int max_branches = 4096;
-        /** Max constraints materialized during one FM elimination. */
-        int max_fm_constraints = 20000;
-        /** Node cap for the bounded model search fallback. */
-        int max_search_nodes = 100000;
-        /** Half-width of the search box for unbounded variables. */
-        int64_t search_bound = 64;
         /** Open one obs::Span per non-trivial check() against the
          *  ambient tracer (noisy; for deep trace drill-downs). */
         bool trace_queries = false;
@@ -141,8 +135,6 @@ class Solver
         cache_ = std::move(cache);
     }
 
-    const std::shared_ptr<QueryCache> &cache() const { return cache_; }
-
     /**
      * Attach a (typically registry-owned, shared) latency histogram;
      * every non-trivial check() observes its wall time into it. The
@@ -198,6 +190,8 @@ class Solver
     const QueryInfo &lastQuery() const { return last_query_; }
 
   private:
+    template <typename Solve>
+    SatResult decide(const Formula &f, Solve solve);
     SatResult enumerate(const Formula &f, std::vector<LinLit> &acc,
                         VarSpace &space, int &branch_budget);
     SatResult theoryCheck(std::vector<LinLit> lits);

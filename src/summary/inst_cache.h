@@ -17,25 +17,25 @@
  * formulas are (smt/intern.h). Wrappers then instantiate once per
  * *shape*, not once per path.
  *
- * Concurrency mirrors smt::QueryCache: fingerprint-sharded LRU shards,
- * one mutex each, shared by every SCC-level worker of a run. Hits verify the full key (fingerprints AND the actual/result
- * expressions structurally) before use, so a 64-bit collision degrades
- * to a miss, never a wrong instantiation. The cache is semantically
- * invisible: with it on or off the engines produce byte-identical
- * entries — pinned by the determinism differential suite.
+ * Storage is smt::ShardedCache (smt/sharded_cache.h), the same
+ * fingerprint-sharded, per-shard-locked LRU the solver-verdict cache
+ * uses, shared by every SCC-level worker of a run. Hits verify the full
+ * Key (fingerprints AND the actual/result expressions structurally)
+ * before use, so a 64-bit collision degrades to a miss, never a wrong
+ * instantiation. The cache is semantically invisible: with it on or off
+ * the engines produce byte-identical entries — pinned by the
+ * determinism differential suite.
  */
 
 #ifndef RID_SUMMARY_INST_CACHE_H
 #define RID_SUMMARY_INST_CACHE_H
 
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/formula.h"
+#include "smt/sharded_cache.h"
 #include "summary/summary.h"
 
 namespace rid::summary {
@@ -64,24 +64,7 @@ class InstCache
         size_t capacity = 1 << 16;
     };
 
-    struct Stats
-    {
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t insertions = 0;
-        uint64_t evictions = 0;
-        /** Key fingerprint matched but the verified key differed
-         *  (treated as a miss). */
-        uint64_t collisions = 0;
-        size_t entries = 0;
-
-        double
-        hitRate() const
-        {
-            uint64_t lookups = hits + misses;
-            return lookups ? static_cast<double>(hits) / lookups : 0.0;
-        }
-    };
+    using Stats = smt::CacheStats;
 
     /** Full lookup key; kept by the cache for collision verification. */
     struct Key
@@ -102,52 +85,32 @@ class InstCache
     };
 
     InstCache() : InstCache(Options()) {}
-    explicit InstCache(Options opts);
+    explicit InstCache(Options opts) : cache_(opts.capacity) {}
 
     /** Cached instantiation for @p key, or nullopt. Promotes to MRU. */
-    std::optional<CallInstantiation> lookup(const Key &key);
+    std::optional<CallInstantiation>
+    lookup(const Key &key)
+    {
+        return cache_.lookup(key.fingerprint(), key);
+    }
 
     /** Record the instantiation for @p key, evicting the shard's LRU
      *  entry if full. */
-    void insert(const Key &key, const CallInstantiation &inst);
-
-    /** Aggregate counters across shards. */
-    Stats stats() const;
-
-    size_t capacity() const { return shard_capacity_ * kShards; }
-
-  private:
-    static constexpr size_t kShards = 16;
-
-    struct Entry
+    void
+    insert(const Key &key, const CallInstantiation &inst)
     {
-        uint64_t fp;
-        Key key;
-        CallInstantiation inst;
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::list<Entry> lru;  // front = most recently used
-        std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t insertions = 0;
-        uint64_t evictions = 0;
-        uint64_t collisions = 0;
-    };
-
-    static size_t
-    shardOf(uint64_t fp)
-    {
-        // Bit range disjoint from the query cache's selector and from
-        // the unordered_map's own hashing of the full fingerprint.
-        return (fp >> 37) & (kShards - 1);
+        cache_.insert(key.fingerprint(), key, inst);
     }
 
-    size_t shard_capacity_;
-    Shard shards_[kShards];
+    /** Aggregate counters across shards. */
+    Stats stats() const { return cache_.stats(); }
+
+    size_t capacity() const { return cache_.capacity(); }
+
+  private:
+    // Shard bits disjoint from the query cache's selector and from the
+    // unordered_map's own hashing of the full fingerprint.
+    smt::ShardedCache<Key, CallInstantiation, 37> cache_;
 };
 
 } // namespace rid::summary

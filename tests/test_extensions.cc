@@ -308,14 +308,14 @@ struct CliResult
     std::string output;
 };
 
-/** Run ridc with @p args; stderr goes to @p stderr_to (a shell
+/** Run @p binary with @p args; stderr goes to @p stderr_to (a shell
  *  redirection target: "&1" merges it into the captured output). */
 CliResult
-runCli(const std::string &args, const std::string &stderr_to = "&1")
+runProgram(const std::string &binary, const std::string &args,
+           const std::string &stderr_to = "&1")
 {
     CliResult r;
-    std::string cmd =
-        std::string(RIDC_PATH) + " " + args + " 2>" + stderr_to;
+    std::string cmd = binary + " " + args + " 2>" + stderr_to;
     FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
         return r;
@@ -325,6 +325,13 @@ runCli(const std::string &args, const std::string &stderr_to = "&1")
     int status = pclose(pipe);
     r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return r;
+}
+
+/** Run ridc with @p args (see runProgram). */
+CliResult
+runCli(const std::string &args, const std::string &stderr_to = "&1")
+{
+    return runProgram(RIDC_PATH, args, stderr_to);
 }
 
 /** Write @p text to a temp file private to the running test: ctest -j
@@ -409,6 +416,82 @@ TEST(RidcCli, BadNumericFlagIsAClearError)
                           src);
     EXPECT_EQ(ok.exit_code, 1) << ok.output;
     EXPECT_NE(ok.output.find("unbalanced at return"), std::string::npos);
+}
+
+TEST(RidcCli, FailedOutputWriteIsAnError)
+{
+    // A scan whose --export or --provenance file cannot be written must
+    // not exit as if it had been: the open can fail (missing directory)
+    // or the write itself (a full device).
+    std::string lock = writeTemp("cli_lock.spec",
+                                 kernel::lockSpecText());
+    std::string src = writeTemp("cli_lock.c", kLockLeakSource);
+    std::string missing =
+        writeTemp("no_such_dir", "") + ".d/sub/out.spec";
+    CliResult r =
+        runCli("--spec " + lock + " --export " + missing + " " + src);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("cannot write export file: " + missing),
+              std::string::npos)
+        << r.output;
+    EXPECT_FALSE(std::filesystem::exists(missing));
+
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full to fail a write on";
+    r = runCli("--spec " + lock + " --provenance /dev/full " + src);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("cannot write provenance file: /dev/full"),
+              std::string::npos)
+        << r.output;
+    r = runCli("--spec " + lock + " --export /dev/full " + src);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("cannot write export file: /dev/full"),
+              std::string::npos)
+        << r.output;
+}
+
+TEST(ExampleCli, BadScaleOrSeedWritesNothing)
+{
+    // corpus_dump and linux_dpm_scan read their positional scale and
+    // seed with the same checked parsers as ridc's flags: a value that
+    // is not wholly a number in range exits 2 before anything is
+    // generated or written.
+    std::string out = writeTemp("corpus", "") + ".d";
+    std::filesystem::remove_all(out);
+    const std::pair<const char *, const char *> bad[] = {
+        {"abc", "1"},       {"0.001x", "1"},  {"0", "1"},
+        {"-0.5", "1"},      {"inf", "1"},     {"0.001", "0x101z"},
+        {"0.001", "-1"},    {"0.001", " 1"},  {"0.001", ""},
+        {"0.001", "99999999999999999999999"},
+    };
+    for (const auto &[scale, seed] : bad) {
+        std::string args =
+            std::string("'") + scale + "' '" + seed + "' ";
+        CliResult dump = runProgram(CORPUS_DUMP_PATH, args + out);
+        EXPECT_EQ(dump.exit_code, 2) << scale << " " << seed;
+        EXPECT_NE(dump.output.find("corpus_dump: bad value"),
+                  std::string::npos)
+            << dump.output;
+        EXPECT_FALSE(std::filesystem::exists(out)) << scale << " " << seed;
+
+        std::string trace = out + ".trace.json";
+        CliResult scan = runProgram(LINUX_DPM_SCAN_PATH, args + trace);
+        EXPECT_EQ(scan.exit_code, 2) << scale << " " << seed;
+        EXPECT_NE(scan.output.find("linux_dpm_scan: bad value"),
+                  std::string::npos)
+            << scan.output;
+        EXPECT_FALSE(std::filesystem::exists(trace))
+            << scale << " " << seed;
+    }
+    // Hex and decimal seeds, as check.sh and the check target pass them,
+    // still dump.
+    for (const char *seed : {"0x101", "257"}) {
+        CliResult ok = runProgram(CORPUS_DUMP_PATH,
+                                  std::string("0.001 ") + seed + " " + out);
+        EXPECT_EQ(ok.exit_code, 0) << seed << ": " << ok.output;
+        EXPECT_TRUE(std::filesystem::exists(out)) << seed;
+        std::filesystem::remove_all(out);
+    }
 }
 
 TEST(RidcCli, DomainsFilterControlsTheScan)

@@ -153,12 +153,15 @@ TEST(Tracer, SpansNestPerThread)
         checkNesting(events);
         // outer has depth 0, mid 1, inner 2.
         for (const auto &e : events) {
-            if (std::string(e.name) == "outer")
+            if (std::string(e.name) == "outer") {
                 EXPECT_EQ(e.depth, 0u);
-            if (std::string(e.name) == "mid")
+            }
+            if (std::string(e.name) == "mid") {
                 EXPECT_EQ(e.depth, 1u);
-            if (std::string(e.name) == "inner")
+            }
+            if (std::string(e.name) == "inner") {
                 EXPECT_EQ(e.depth, 2u);
+            }
         }
     }
 }

@@ -6,8 +6,8 @@
  *  - fingerprints are stable, and equal exactly for structurally equal
  *    expressions/formulas on a large random population;
  *  - interning shares construction (observable through InternStats);
- *  - the QueryCache respects capacity, evicts LRU-wise and verifies
- *    fingerprint hits structurally;
+ *  - the QueryCache respects capacity and evicts LRU-wise, and the
+ *    shared ShardedCache turns a fingerprint collision into a miss;
  *  - differential property: a cache-attached solver agrees with a fresh
  *    uncached solver on every one of >= 10k random queries, including
  *    repeated queries and queries after evictions;
@@ -19,11 +19,13 @@
 #include <atomic>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "smt/intern.h"
 #include "smt/query_cache.h"
+#include "smt/sharded_cache.h"
 #include "smt/solver.h"
 
 namespace rid::smt {
@@ -193,15 +195,52 @@ TEST(QueryCache, CapacityBoundsResidencyAndEvicts)
     EXPECT_LE(resident.size(), cache.capacity());
 }
 
-TEST(QueryCache, ClearDropsEntries)
+/** A key type whose fingerprint the test chooses, so two different keys
+ *  can share one: real 64-bit formula collisions cannot be constructed. */
+struct NamedKey
 {
-    QueryCache cache;
-    FormulaGen gen(3);
-    Formula f = gen.formula(2);
-    cache.insert(f, SatResult::Sat);
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_FALSE(cache.lookup(f).has_value());
+    std::string name;
+
+    bool equals(const NamedKey &o) const { return name == o.name; }
+};
+
+TEST(ShardedCache, CollisionIsAMissNeverAWrongValue)
+{
+    ShardedCache<NamedKey, int, 43> cache(16);
+    const uint64_t fp = 0x5eed;
+    cache.insert(fp, NamedKey{"first"}, 1);
+
+    // Same fingerprint, different key: a miss, counted once as a
+    // collision, never the first key's value.
+    EXPECT_FALSE(cache.lookup(fp, NamedKey{"second"}).has_value());
+    CacheStats s = cache.stats();
+    EXPECT_EQ(s.collisions, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 0u);
+
+    // The insert after the miss displaces the older key in place.
+    cache.insert(fp, NamedKey{"second"}, 2);
+    auto hit = cache.lookup(fp, NamedKey{"second"});
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, 2);
+    EXPECT_FALSE(cache.lookup(fp, NamedKey{"first"}).has_value());
+    s = cache.stats();
+    EXPECT_EQ(s.collisions, 2u);
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.insertions, 1u);
+    EXPECT_EQ(s.evictions, 0u);
+    EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ShardedCache, CapacityRoundsUpToWholeShards)
+{
+    // Capacity is split over 16 shards, rounded up, at least one entry
+    // per shard.
+    EXPECT_EQ((ShardedCache<NamedKey, int, 37>(0).capacity()), 16u);
+    EXPECT_EQ((ShardedCache<NamedKey, int, 37>(16).capacity()), 16u);
+    EXPECT_EQ((ShardedCache<NamedKey, int, 37>(17).capacity()), 32u);
+    EXPECT_EQ((ShardedCache<NamedKey, int, 37>(1 << 16).capacity()),
+              size_t{1} << 16);
 }
 
 TEST(SolverCache, AttachedSolverCountsHitsAndMisses)
