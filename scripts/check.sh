@@ -27,7 +27,9 @@
 # determinism pins under ASan (the sharded instantiation cache is
 # shared mutable state), runs the shared sharded-cache suites (query
 # cache, collision handling, the cached-vs-uncached solver differential
-# and its 4-thread variant, the instantiation cache) under ASan,
+# and its 4-thread variant, the instantiation cache) under ASan, runs
+# the interning and shared-cache suites plus the thread-invariance
+# determinism tests under ThreadSanitizer (a `build-tsan/` tree),
 # refreshes
 # BENCH_performance.json at the repo root (the microbenchmarks
 # themselves are skipped via a non-matching filter — only the
@@ -142,6 +144,20 @@ cmake --build build-asan -j"$(nproc)" --target test_smt_cache \
 run_filtered ./build-asan/tests/test_smt_cache \
     'QueryCache.*:ShardedCache.*:SolverCacheDifferential.*'
 run_filtered ./build-asan/tests/test_summary_compact 'InstCache.*'
+
+# Interned Expr/Formula nodes are immortal and read without a lock once
+# published under their shard mutex; every SCC worker shares them, the
+# query and instantiation caches and the metrics registry. The
+# thread-invariance tests drive all of that at four threads.
+echo "== ThreadSanitizer (interning, shared caches, SCC workers) =="
+cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+cmake --build build-tsan -j"$(nproc)" --target test_smt_cache \
+    --target test_analyzer_determinism
+run_filtered ./build-tsan/tests/test_smt_cache \
+    'Interning.*:ShardedCache.*:SolverCacheDifferential.*'
+run_filtered ./build-tsan/tests/test_analyzer_determinism \
+    '*ThreadInvariant*:*RepeatRunInternsNoNewNodes'
 
 echo "== performance trajectory record =="
 RID_BENCH_JSON="$PWD/BENCH_performance.json" \

@@ -22,6 +22,25 @@ using smt::ExprKind;
 using smt::Formula;
 using summary::SummaryEntry;
 
+/**
+ * Deterministic name of an analysis temp: @p prefix, block and
+ * instruction index, plus the per-path occurrence count when @p occ is
+ * not negative (e.g. "c3_1_0").
+ */
+std::string
+tempName(char prefix, ir::BlockId b, size_t idx, int occ = -1)
+{
+    std::string name(1, prefix);
+    name += std::to_string(b);
+    name += '_';
+    name += std::to_string(idx);
+    if (occ >= 0) {
+        name += '_';
+        name += std::to_string(occ);
+    }
+    return name;
+}
+
 /** A constraint part, tagged with the branch instruction that added it so
  *  a re-executed branch (unrolled loop) can replace its old condition. */
 struct ConsPart
@@ -388,9 +407,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                     Expr base = valueOf(in.a, fn, s.vmap);
                     if (base.isConst() || base.isBoolean()) {
                         // Field of a constant: unconstrained.
-                        s.vmap[in.dst] = Expr::temp(
-                            "f" + std::to_string(b) + "_" +
-                            std::to_string(idx));
+                        s.vmap[in.dst] = Expr::temp(tempName('f', b, idx));
                     } else {
                         s.vmap[in.dst] = Expr::field(base, in.field);
                     }
@@ -411,9 +428,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
               case ir::Opcode::Random:
                 for (auto &s : states) {
                     int occ = s.call_occurrence[&in]++;
-                    s.vmap[in.dst] = Expr::temp(
-                        "r" + std::to_string(b) + "_" +
-                        std::to_string(idx) + "_" + std::to_string(occ));
+                    s.vmap[in.dst] = Expr::temp(tempName('r', b, idx, occ));
                 }
                 break;
               case ir::Opcode::Cmp:
@@ -424,9 +439,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                     if (c)
                         s.vmap[in.dst] = c;
                     else
-                        s.vmap[in.dst] = Expr::temp(
-                            "b" + std::to_string(b) + "_" +
-                            std::to_string(idx));
+                        s.vmap[in.dst] = Expr::temp(tempName('b', b, idx));
                 }
                 break;
               case ir::Opcode::Branch:
@@ -466,9 +479,7 @@ executePath(const ir::Function &fn, const Path &path, int path_index,
                     for (const auto &a : in.args)
                         actuals.push_back(valueOf(a, fn, s.vmap));
                     int occ = s.call_occurrence[&in]++;
-                    std::string temp_name =
-                        "c" + std::to_string(b) + "_" +
-                        std::to_string(idx) + "_" + std::to_string(occ);
+                    std::string temp_name = tempName('c', b, idx, occ);
 
                     if (!callee) {
                         // No summary at all: default behaviour inline.
@@ -669,9 +680,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                 Expr base = valueOf(in.a, fn_, s.vmap);
                 if (base.isConst() || base.isBoolean()) {
                     // Field of a constant: unconstrained.
-                    s.vmap.set(in.dst,
-                               Expr::temp("f" + std::to_string(b) + "_" +
-                                          std::to_string(idx)));
+                    s.vmap.set(in.dst, Expr::temp(tempName('f', b, idx)));
                 } else {
                     s.vmap.set(in.dst, Expr::field(base, in.field));
                 }
@@ -692,10 +701,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
           case ir::Opcode::Random:
             for (auto &s : states) {
                 int occ = s.call_occurrence[&in]++;
-                s.vmap.set(in.dst,
-                           Expr::temp("r" + std::to_string(b) + "_" +
-                                      std::to_string(idx) + "_" +
-                                      std::to_string(occ)));
+                s.vmap.set(in.dst, Expr::temp(tempName('r', b, idx, occ)));
             }
             break;
           case ir::Opcode::Cmp:
@@ -706,9 +712,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                 if (c)
                     s.vmap.set(in.dst, c);
                 else
-                    s.vmap.set(in.dst,
-                               Expr::temp("b" + std::to_string(b) + "_" +
-                                          std::to_string(idx)));
+                    s.vmap.set(in.dst, Expr::temp(tempName('b', b, idx)));
             }
             break;
           case ir::Opcode::Branch:
@@ -773,9 +777,7 @@ TreeExecutor::stepBlock(ir::BlockId b, std::vector<TreeState> states)
                 for (const auto &a : in.args)
                     actuals.push_back(valueOf(a, fn_, s.vmap));
                 int occ = s.call_occurrence[&in]++;
-                std::string temp_name = "c" + std::to_string(b) + "_" +
-                                        std::to_string(idx) + "_" +
-                                        std::to_string(occ);
+                std::string temp_name = tempName('c', b, idx, occ);
 
                 if (!callee) {
                     // No summary at all: bind a fresh temp and record no

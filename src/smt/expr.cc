@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <sstream>
+#include <type_traits>
 
 #include "obs/failpoint.h"
 #include "smt/intern.h"
@@ -74,11 +75,11 @@ class ExprNode
 {
   public:
     ExprKind kind;
-    int64_t value = 0;          // IntConst value or BoolConst (0/1)
-    std::string name;           // Arg/Local/Temp name, Field name
-    Pred pred = Pred::Eq;       // Cmp
-    std::shared_ptr<const ExprNode> a; // Field base / Cmp lhs
-    std::shared_ptr<const ExprNode> b; // Cmp rhs
+    int64_t value = 0;           // IntConst value or BoolConst (0/1)
+    std::string name;            // Arg/Local/Temp name, Field name
+    Pred pred = Pred::Eq;        // Cmp
+    const ExprNode *a = nullptr; // Field base / Cmp lhs
+    const ExprNode *b = nullptr; // Cmp rhs
     uint64_t fingerprint = 0;
 
     void
@@ -97,12 +98,14 @@ class ExprNode
 
 namespace {
 
-using NodePtr = std::shared_ptr<const ExprNode>;
+static_assert(std::is_trivially_copyable_v<Expr>);
 
 InternTable<ExprNode> &
 exprInterner()
 {
-    static InternTable<ExprNode> table;
+    // Never destroyed: nodes must outlive every static that holds an
+    // Expr, whatever the order of static destruction.
+    static auto &table = *new InternTable<ExprNode>;
     return table;
 }
 
@@ -118,39 +121,21 @@ shallowEquals(const ExprNode &x, const ExprNode &y)
            x.a == y.a && x.b == y.b && x.name == y.name;
 }
 
-NodePtr
+const ExprNode *
 makeNode(ExprKind kind, int64_t value, std::string name, Pred pred,
-         NodePtr a, NodePtr b)
+         const ExprNode *a, const ExprNode *b)
 {
-    auto n = std::make_shared<ExprNode>();
+    auto n = std::make_unique<ExprNode>();
     n->kind = kind;
     n->value = value;
     n->name = std::move(name);
     n->pred = pred;
-    n->a = std::move(a);
-    n->b = std::move(b);
+    n->a = a;
+    n->b = b;
     n->finalize();
     obs::failpoint("smt.intern");
     uint64_t fp = n->fingerprint;
     return exprInterner().intern(fp, std::move(n), shallowEquals);
-}
-
-bool
-nodeEquals(const ExprNode *x, const ExprNode *y)
-{
-    // Interning makes structurally equal live trees pointer-identical,
-    // so this is the common exit; the deep walk below only runs for
-    // unequal trees (and bails on the fingerprint).
-    if (x == y)
-        return true;
-    if (!x || !y)
-        return false;
-    if (x->fingerprint != y->fingerprint || x->kind != y->kind ||
-        x->value != y->value || x->pred != y->pred || x->name != y->name) {
-        return false;
-    }
-    return nodeEquals(x->a.get(), y->a.get()) &&
-           nodeEquals(x->b.get(), y->b.get());
 }
 
 /** Structural total order; returns <0, 0, >0. */
@@ -171,9 +156,9 @@ nodeCompare(const ExprNode *x, const ExprNode *y)
         return c;
     if (x->pred != y->pred)
         return static_cast<int>(x->pred) < static_cast<int>(y->pred) ? -1 : 1;
-    if (int c = nodeCompare(x->a.get(), y->a.get()))
+    if (int c = nodeCompare(x->a, y->a))
         return c;
-    return nodeCompare(x->b.get(), y->b.get());
+    return nodeCompare(x->b, y->b);
 }
 
 void
@@ -203,13 +188,13 @@ nodeStr(const ExprNode *n, std::ostream &os)
         os << "%" << n->name;
         break;
       case ExprKind::Field:
-        nodeStr(n->a.get(), os);
+        nodeStr(n->a, os);
         os << "." << n->name;
         break;
       case ExprKind::Cmp:
-        nodeStr(n->a.get(), os);
+        nodeStr(n->a, os);
         os << " " << predSpelling(n->pred) << " ";
-        nodeStr(n->b.get(), os);
+        nodeStr(n->b, os);
         break;
     }
 }
@@ -424,15 +409,9 @@ Expr::negated() const
 }
 
 bool
-Expr::equals(const Expr &other) const
-{
-    return nodeEquals(node_.get(), other.node_.get());
-}
-
-bool
 Expr::less(const Expr &other) const
 {
-    return nodeCompare(node_.get(), other.node_.get()) < 0;
+    return nodeCompare(node_, other.node_) < 0;
 }
 
 size_t
@@ -451,7 +430,7 @@ std::string
 Expr::str() const
 {
     std::ostringstream os;
-    nodeStr(node_.get(), os);
+    nodeStr(node_, os);
     return os.str();
 }
 

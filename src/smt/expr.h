@@ -7,13 +7,13 @@
  * value atom ("[0]"), local variables, field accesses (e.field) and
  * comparison conditions (e1 pred e2).
  *
- * Expressions are immutable trees of reference-counted nodes with
- * structural equality and a cached hash. Nodes are hash-consed through a
- * process-wide intern table (smt/intern.h): syntactically equal trees
- * share one node, equality degenerates to a pointer comparison, and every
- * tree carries a stable 64-bit fingerprint usable as a cache key. They
- * are cheap to copy (a single shared_ptr) and safe to share across
- * threads once built.
+ * Expressions are immutable trees of nodes with a cached hash. Nodes are
+ * hash-consed through a process-wide, insert-only intern table
+ * (smt/intern.h) that owns them for the life of the process:
+ * syntactically equal trees share one node, equality is a pointer
+ * comparison, and every tree carries a stable 64-bit fingerprint usable
+ * as a cache key. A handle is a single raw pointer, so it is trivially
+ * copyable and safe to share across threads.
  */
 
 #ifndef RID_SMT_EXPR_H
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -137,8 +136,8 @@ class Expr
      */
     Expr negated() const;
 
-    /** Structural equality (pointer comparison for interned trees). */
-    bool equals(const Expr &other) const;
+    /** Structural equality: interned trees are equal iff identical. */
+    bool equals(const Expr &other) const { return node_ == other.node_; }
     bool operator==(const Expr &other) const { return equals(other); }
     bool operator!=(const Expr &other) const { return !equals(other); }
 
@@ -160,11 +159,9 @@ class Expr
     std::string str() const;
 
   private:
-    explicit Expr(std::shared_ptr<const ExprNode> node)
-        : node_(std::move(node))
-    {}
+    explicit Expr(const ExprNode *node) : node_(node) {}
 
-    std::shared_ptr<const ExprNode> node_;
+    const ExprNode *node_ = nullptr;
 };
 
 /** std::hash adaptor so Expr can key unordered containers. */

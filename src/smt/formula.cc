@@ -2,7 +2,7 @@
 
 #include <cassert>
 #include <sstream>
-#include <unordered_set>
+#include <type_traits>
 
 #include "smt/intern.h"
 
@@ -32,20 +32,19 @@ class FormulaNode
 
 namespace {
 
-using NodePtr = std::shared_ptr<const FormulaNode>;
+static_assert(std::is_trivially_copyable_v<Formula>);
 
 InternTable<FormulaNode> &
 formulaInterner()
 {
-    static InternTable<FormulaNode> table;
+    // Never destroyed, like the expression table (expr.cc).
+    static auto &table = *new InternTable<FormulaNode>;
     return table;
 }
 
 /**
  * Shallow equality for interning: literals and children are themselves
- * interned, so comparing their node identities suffices. Formula has no
- * public node accessor, so compare via fingerprint + equals, which
- * short-circuits to pointer checks for interned sub-structure.
+ * interned, so equals() on them is a pointer comparison.
  */
 bool
 shallowFormulaEquals(const FormulaNode &x, const FormulaNode &y)
@@ -60,12 +59,12 @@ shallowFormulaEquals(const FormulaNode &x, const FormulaNode &y)
     return true;
 }
 
-NodePtr
+const FormulaNode *
 makeNode(FormulaKind kind, Expr literal, std::vector<Formula> children)
 {
-    auto n = std::make_shared<FormulaNode>();
+    auto n = std::make_unique<FormulaNode>();
     n->kind = kind;
-    n->literal = std::move(literal);
+    n->literal = literal;
     n->children = std::move(children);
     n->finalize();
     uint64_t fp = n->fingerprint;
@@ -74,11 +73,6 @@ makeNode(FormulaKind kind, Expr literal, std::vector<Formula> children)
 }
 
 } // anonymous namespace
-
-// True is represented by a null node so that the ubiquitous top()
-// formula costs no allocation and, more importantly, no contended
-// atomic reference-count traffic when many analysis threads copy it.
-Formula::Formula() = default;
 
 Formula
 Formula::top()
@@ -246,7 +240,6 @@ std::vector<Expr>
 Formula::literals() const
 {
     std::vector<Expr> out;
-    std::unordered_set<size_t> seen;
     auto consider = [&](const Expr &e) {
         for (const auto &prev : out)
             if (prev.equals(e))
@@ -362,29 +355,6 @@ Formula::nnfImpl(bool negate) const
       }
     }
     return *this;
-}
-
-bool
-Formula::equals(const Formula &other) const
-{
-    // Interned live formulas are pointer-identical when equal; the deep
-    // walk below only disambiguates fingerprint collisions.
-    if (node_ == other.node_)
-        return true;
-    if (!node_ || !other.node_)
-        return kind() == other.kind();
-    if (kind() != other.kind() || fingerprint() != other.fingerprint())
-        return false;
-    if (kind() == FormulaKind::Lit)
-        return literal().equals(other.literal());
-    const auto &a = children();
-    const auto &b = other.children();
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); i++)
-        if (!a[i].equals(b[i]))
-            return false;
-    return true;
 }
 
 size_t

@@ -6,15 +6,15 @@
  * summary entries (Section 4.3 of the paper) introduces disjunction, so the
  * formula language supports arbitrary and/or/not nesting over literals.
  *
- * Like expressions, formula nodes are hash-consed (smt/intern.h):
- * structurally equal formulas share one node and carry a stable 64-bit
- * fingerprint, which is what the solver query cache keys on.
+ * Like expressions, formula nodes are hash-consed (smt/intern.h) and
+ * immortal: structurally equal formulas share one node, a handle is one
+ * raw pointer, and every formula carries a stable 64-bit fingerprint,
+ * which is what the solver query cache keys on.
  */
 
 #ifndef RID_SMT_FORMULA_H
 #define RID_SMT_FORMULA_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,8 +43,11 @@ class FormulaNode;
 class Formula
 {
   public:
-    /** Default: the trivially true formula. */
-    Formula();
+    /**
+     * Default: the trivially true formula. True is the null node, so the
+     * ubiquitous top() needs no node and no intern-table lookup.
+     */
+    Formula() = default;
 
     static Formula top();
     static Formula bottom();
@@ -92,8 +95,11 @@ class Formula
     /** Negation normal form: Not pushed onto literals and eliminated. */
     Formula nnf() const;
 
-    /** Structural equality (no semantic canonicalization). */
-    bool equals(const Formula &other) const;
+    /**
+     * Structural equality (no semantic canonicalization): interned
+     * formulas are equal iff identical.
+     */
+    bool equals(const Formula &other) const { return node_ == other.node_; }
 
     size_t hash() const;
 
@@ -108,13 +114,11 @@ class Formula
     std::string str() const;
 
   private:
-    explicit Formula(std::shared_ptr<const FormulaNode> node)
-        : node_(std::move(node))
-    {}
+    explicit Formula(const FormulaNode *node) : node_(node) {}
 
     Formula nnfImpl(bool negate) const;
 
-    std::shared_ptr<const FormulaNode> node_;
+    const FormulaNode *node_ = nullptr;
 };
 
 } // namespace rid::smt

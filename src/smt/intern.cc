@@ -19,8 +19,6 @@ internStatsStr(const InternStats &s)
     uint64_t lookups = s.hits + s.misses;
     os << s.entries << " interned node(s), " << s.hits << "/" << lookups
        << " construction(s) shared";
-    if (s.scavenged)
-        os << ", " << s.scavenged << " scavenged";
     return os.str();
 }
 

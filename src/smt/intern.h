@@ -13,19 +13,20 @@
  * node's kind, payload bytes and child fingerprints with fixed 64-bit
  * constants, so the same formula text fingerprints identically on every
  * run and platform. A fingerprint collision between structurally distinct
- * trees is possible (64 bits) but harmless for correctness: every consumer
- * (the intern tables, the query cache) verifies structural equality before
- * treating two trees as the same.
+ * trees is possible (64 bits) but harmless for correctness: the intern
+ * tables compare payloads before sharing a node, and the caches verify
+ * full keys with equals() before trusting a match.
  *
- * The tables hold weak references only — interning never extends a node's
- * lifetime. Expired entries are scavenged opportunistically during lookups
- * in the same bucket.
+ * Interned nodes are immortal: the tables are insert-only, own every
+ * node they hand out and are never destroyed. Handles (Expr, Formula)
+ * are therefore plain pointers, copied without any atomic reference
+ * count, and structural equality is pointer identity. Memory is bounded
+ * by the number of distinct trees ever built, not by the number of runs.
  */
 
 #ifndef RID_SMT_INTERN_H
 #define RID_SMT_INTERN_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -89,64 +90,56 @@ struct InternStats
 {
     uint64_t hits = 0;       ///< constructions that found an existing node
     uint64_t misses = 0;     ///< constructions that inserted a new node
-    uint64_t scavenged = 0;  ///< expired weak entries removed
-    size_t entries = 0;      ///< current table size (incl. not-yet-expired)
+    size_t entries = 0;      ///< current table size (nodes alive)
 
     InternStats &operator+=(const InternStats &o)
     {
         hits += o.hits;
         misses += o.misses;
-        scavenged += o.scavenged;
         entries += o.entries;
         return *this;
     }
 };
 
 /**
- * Sharded weak intern table for immutable nodes of type Node.
+ * Sharded insert-only intern table for immutable nodes of type Node.
  *
  * Thread-safe; each shard is guarded by its own mutex so concurrent
- * construction from analysis worker threads rarely contends. Candidate
- * equality is decided by the caller-supplied predicate, which may be
- * shallow (payload + child pointer identity) when children are always
- * interned first.
+ * construction from analysis worker threads rarely contends. A node is
+ * published under its shard's mutex and never changes or dies after
+ * that, so readers holding its pointer need no lock. Candidate equality
+ * is decided by the caller-supplied predicate, which may be shallow
+ * (payload + child pointer identity) when children are always interned
+ * first.
  */
 template <typename Node>
 class InternTable
 {
   public:
-    using Ptr = std::shared_ptr<const Node>;
     using EqFn = bool (*)(const Node &, const Node &);
 
     /**
-     * Return the canonical node equal to @p fresh (interning it if new).
+     * Return the canonical node equal to @p fresh, keeping @p fresh if
+     * it is new and dropping it otherwise.
      *
      * @param fp    fingerprint of @p fresh (bucket key)
      * @param fresh candidate node, consumed
      * @param eq    structural equality predicate
      */
-    Ptr
-    intern(uint64_t fp, Ptr fresh, EqFn eq)
+    const Node *
+    intern(uint64_t fp, std::unique_ptr<Node> fresh, EqFn eq)
     {
         Shard &shard = shards_[shardOf(fp)];
         std::lock_guard<std::mutex> lock(shard.mutex);
         auto range = shard.nodes.equal_range(fp);
-        for (auto it = range.first; it != range.second;) {
-            Ptr live = it->second.lock();
-            if (!live) {
-                it = shard.nodes.erase(it);
-                shard.scavenged++;
-                continue;
-            }
-            if (eq(*live, *fresh)) {
+        for (auto it = range.first; it != range.second; ++it) {
+            if (eq(*it->second, *fresh)) {
                 shard.hits++;
-                return live;
+                return it->second.get();
             }
-            ++it;
         }
-        shard.nodes.emplace(fp, fresh);
         shard.misses++;
-        return fresh;
+        return shard.nodes.emplace(fp, std::move(fresh))->second.get();
     }
 
     InternStats
@@ -157,27 +150,9 @@ class InternTable
             std::lock_guard<std::mutex> lock(s.mutex);
             total.hits += s.hits;
             total.misses += s.misses;
-            total.scavenged += s.scavenged;
             total.entries += s.nodes.size();
         }
         return total;
-    }
-
-    /** Drop all expired entries (called by tests; never required). */
-    void
-    scavenge()
-    {
-        for (Shard &s : shards_) {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            for (auto it = s.nodes.begin(); it != s.nodes.end();) {
-                if (it->second.expired()) {
-                    it = s.nodes.erase(it);
-                    s.scavenged++;
-                } else {
-                    ++it;
-                }
-            }
-        }
     }
 
   private:
@@ -186,10 +161,9 @@ class InternTable
     struct Shard
     {
         mutable std::mutex mutex;
-        std::unordered_multimap<uint64_t, std::weak_ptr<const Node>> nodes;
+        std::unordered_multimap<uint64_t, std::unique_ptr<const Node>> nodes;
         uint64_t hits = 0;
         uint64_t misses = 0;
-        uint64_t scavenged = 0;
     };
 
     static size_t

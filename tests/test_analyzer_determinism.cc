@@ -1003,6 +1003,34 @@ TEST_F(InjectedDeterminismTest, WorkCountersAreThreadInvariant)
     EXPECT_EQ(counters(4), pinned);
 }
 
+TEST_F(InjectedDeterminismTest, RepeatRunInternsNoNewNodes)
+{
+    // Interned nodes live for the whole process, so their number is
+    // bounded by the distinct expressions a corpus produces, not by the
+    // number of runs: a second identical run at four threads, after the
+    // first run's results are dropped, finds every node already there.
+    auto reportCount = [] {
+        analysis::AnalyzerOptions opts;
+        opts.threads = 4;
+        Rid tool(opts);
+        tool.loadSpecText(kernel::dpmSpecText());
+        tool.loadSpecText(kernel::lockSpecText());
+        tool.loadSpecText(kernel::allocSpecText());
+        for (const auto &file : injected_.corpus.files)
+            tool.addSource(file.text);
+        return tool.run().reports.size();
+    };
+    size_t first = reportCount();
+    smt::InternStats before = smt::totalInternStats();
+    size_t second = reportCount();
+    smt::InternStats after = smt::totalInternStats();
+
+    EXPECT_EQ(second, first);
+    EXPECT_GT(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.entries, before.entries);
+}
+
 TEST_F(InjectedDeterminismTest, CompactionAndInterningDoNotMoveScores)
 {
     // Ground-truth scores on the injected corpus must survive both

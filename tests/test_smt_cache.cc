@@ -5,7 +5,8 @@
  *
  *  - fingerprints are stable, and equal exactly for structurally equal
  *    expressions/formulas on a large random population;
- *  - interning shares construction (observable through InternStats);
+ *  - interning shares construction (observable through InternStats),
+ *    also for trees rebuilt concurrently after every handle was dropped;
  *  - the QueryCache respects capacity and evicts LRU-wise, and the
  *    shared ShardedCache turns a fingerprint collision into a miss;
  *  - differential property: a cache-attached solver agrees with a fresh
@@ -149,6 +150,59 @@ TEST(Interning, FingerprintsAreStableAcrossRebuilds)
         Formula b = g2.formula(3);
         ASSERT_TRUE(a.equals(b));
         ASSERT_EQ(a.fingerprint(), b.fingerprint());
+    }
+}
+
+TEST(Interning, ConcurrentRebuildsAllocateNoNodes)
+{
+    // Interned nodes live for the whole process: trees built once, then
+    // dropped, are found again when four threads rebuild them at once,
+    // so the rebuild allocates no node at all.
+    const std::vector<uint64_t> seeds = {1901, 1902, 1903, 1904};
+    auto build = [](uint64_t seed) {
+        FormulaGen gen(seed);
+        std::vector<Formula> out;
+        for (int i = 0; i < 100; i++)
+            out.push_back(gen.formula(3));
+        return out;
+    };
+    std::vector<std::vector<uint64_t>> fps;
+    for (uint64_t seed : seeds) {
+        fps.emplace_back();
+        for (const Formula &f : build(seed))
+            fps.back().push_back(f.fingerprint());
+    }  // every handle of the first build is gone here
+
+    constexpr size_t kThreads = 4;
+    InternStats before = totalInternStats();
+    // rebuilt[t][k]: thread t's rebuild of seeds[k]. Each thread starts
+    // at a different seed, so shared atoms are interned concurrently.
+    std::vector<std::vector<std::vector<Formula>>> rebuilt(
+        kThreads, std::vector<std::vector<Formula>>(seeds.size()));
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < kThreads; t++) {
+        workers.emplace_back([&, t] {
+            for (size_t i = 0; i < seeds.size(); i++) {
+                size_t k = (t + i) % seeds.size();
+                rebuilt[t][k] = build(seeds[k]);
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    InternStats after = totalInternStats();
+
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.entries, before.entries);
+    EXPECT_GT(after.hits, before.hits);
+    for (size_t t = 0; t < kThreads; t++) {
+        for (size_t k = 0; k < seeds.size(); k++) {
+            ASSERT_EQ(rebuilt[t][k].size(), fps[k].size());
+            for (size_t i = 0; i < fps[k].size(); i++) {
+                EXPECT_TRUE(rebuilt[t][k][i].equals(rebuilt[0][k][i]));
+                EXPECT_EQ(rebuilt[t][k][i].fingerprint(), fps[k][i]);
+            }
+        }
     }
 }
 
